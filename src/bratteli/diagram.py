@@ -16,6 +16,7 @@ here is immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InsufficientPrefixError, InvalidPrefixError
@@ -211,17 +212,18 @@ class BratteliPrefix:
                     )
                 )
                 continue  # dependent checks would be meaningless
-            for i in range(mat.rows):
-                if all(e == 0 for e in mat.row(i)):
+            for i, row in enumerate(mat.entries):
+                if not any(row):
                     issues.append(
                         ValidationIssue(n, "degenerate matrix", f"zero row {i} in A_{n}")
                     )
-            for j in range(mat.cols):
-                if all(e == 0 for e in mat.column(j)):
+            for j, col in enumerate(zip(*mat.entries)):
+                if not any(col):
                     issues.append(
                         ValidationIssue(n, "degenerate matrix", f"zero column {j} in A_{n}")
                     )
-            image = mat.apply(self.levels[n].entries)
+            source = self.levels[n].entries
+            image = tuple(sum(map(mul, row, source)) for row in mat.entries)
             target = self.levels[n + 1].entries
             if any(a > b for a, b in zip(image, target)):
                 issues.append(

@@ -170,11 +170,18 @@ def is_compact(prefix: BratteliPrefix, profile: IdealProfile) -> bool:
 
 
 def width_cap() -> int:
+    """`BRATTELI_MAX_WIDTH` when set, else DEFAULT_WIDTH_CAP; a value that is
+    not an integer of at least 1 is rejected, not replaced by the default."""
     raw = os.environ.get("BRATTELI_MAX_WIDTH", "")
-    try:
-        return int(raw) if raw else DEFAULT_WIDTH_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_WIDTH_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BratteliError(f"BRATTELI_MAX_WIDTH must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def enumerate_ideals(prefix: BratteliPrefix, max_width: int | None = None) -> list[IdealProfile]:

@@ -21,6 +21,20 @@ lexicographically largest (the one certifying the most stable lines, which is
 what the ideal machinery consumes); candidate transitions are pruned by a
 one-matrix lookahead so that a failure is reported at the level that forces
 it rather than one step later.
+
+The strict search is an interval dynamic programme.  Every rule is monotone,
+so one pass over matrix i yields three numbers: the top rules (identity rows,
+repeated sizes) hold exactly for r <= t_i; the A22 rule holds exactly for
+r_next >= need_i (None when some column k >= t_i has no non-zero entry in a
+row >= t_i; because the rows above t_i are identity rows, the same bound
+serves every r <= t_i); the RFD-JI positivity rule holds exactly for
+r >= z_i.  A transition (r at level i) -> (r_next at level i+1) is
+admissible iff max(1, z_i) <= r <= t_i and need_i <= r_next <= cap_i, where
+cap_i = t_{i+1} is the lookahead (w_{i+1} at the last matrix).  Admissible
+sets are therefore intervals, the forward reach after matrix i is
+[need_i, cap_i], and the search costs O(L * w^2) for L matrices of width w:
+one scan of each matrix.  Rule-by-rule wording is produced only for the
+transitions at a failing level.
 """
 
 from __future__ import annotations
@@ -87,21 +101,6 @@ class RfdResult:
         return self.consistent
 
 
-def _top_feasible(prefix: BratteliPrefix, i: int, r: int) -> bool:
-    """Rules local to (matrix i, source stable count r): the top r rows are
-    (I_r | 0) and the first r sizes repeat at the next level."""
-    mat = prefix.matrices[i]
-    if not 1 <= r <= mat.cols:
-        return False
-    for j in range(r):
-        row = mat.row(j)
-        if any(row[k] != (1 if k == j else 0) for k in range(mat.cols)):
-            return False
-    u_src = prefix.levels[i].entries
-    u_dst = prefix.levels[i + 1].entries
-    return all(u_dst[j] == u_src[j] for j in range(r))
-
-
 def _top_failure(prefix: BratteliPrefix, i: int, r: int) -> tuple[int, str] | None:
     mat = prefix.matrices[i]
     for j in range(r):
@@ -159,77 +158,67 @@ def _edge_failure(
         fail = _positivity_failure(mat, r, r_next)
         if fail:
             return fail
-    if i + 1 < len(prefix.matrices) and not _top_feasible(prefix, i + 1, r_next):
-        nxt = _top_failure(prefix, i + 1, r_next)
-        assert nxt is not None
-        return nxt
+    if i + 1 < len(prefix.matrices):
+        return _top_failure(prefix, i + 1, r_next)
     return None
 
 
+def _matrix_bounds(prefix: BratteliPrefix, i: int) -> tuple[int, int | None, int]:
+    """(t, need, z) of matrix i, as defined in the module docstring."""
+    mat = prefix.matrices[i]
+    rows = mat.entries
+    u_src = prefix.levels[i].entries
+    u_dst = prefix.levels[i + 1].entries
+    t = 0
+    while t < min(mat.rows, mat.cols):
+        row = rows[t]
+        if row[t] != 1 or any(row[:t]) or any(row[t + 1 :]) or u_dst[t] != u_src[t]:
+            break
+        t += 1
+    need: int | None = t
+    for k in range(t, mat.cols):
+        first = next((j for j in range(t, mat.rows) if rows[j][k]), None)
+        if first is None:
+            need = None
+            break
+        need = max(need, first + 1)
+    z = next((j + 1 for j in range(mat.rows - 1, -1, -1) if 0 in rows[j]), 0)
+    return t, need, z
+
+
 def _strict_search(prefix: BratteliPrefix, ji: bool):
-    """Returns (r_sequence, None) on success, else (level, candidate_pairs)."""
-    n_levels = prefix.depth
-    widths = [prefix.width(i) for i in range(n_levels)]
+    """Returns (r_sequence, None) on success, else (level, candidate_pairs).
 
-    @lru_cache(maxsize=None)
-    def edge_ok(i: int, r: int, r_next: int) -> bool:
-        return _edge_failure(prefix, i, r, r_next, ji) is None
-
-    can_complete = [set() for _ in range(n_levels)]
-    can_complete[-1] = set(range(1, widths[-1] + 1))
-    for i in range(n_levels - 2, -1, -1):
-        for r in range(1, widths[i] + 1):
-            if any(
-                edge_ok(i, r, r_next)
-                for r_next in range(r, widths[i + 1] + 1)
-                if r_next in can_complete[i + 1]
-            ):
-                can_complete[i].add(r)
-
-    if can_complete[0]:
-        # Interior levels carry the maximal certified stable count; the final
-        # level is unconstrained from below, so take the minimal continuation
-        # there (strictly increasing when possible) rather than an
-        # unevidenced jump to full width.
-        r_seq = [max(can_complete[0])]
-        for i in range(n_levels - 2):
-            r = r_seq[-1]
-            best = max(
-                r_next
-                for r_next in can_complete[i + 1]
-                if r_next >= r and edge_ok(i, r, r_next)
-            )
-            r_seq.append(best)
-        r = r_seq[-1]
-        last = n_levels - 2
-        admissible = [
-            r_next
-            for r_next in range(r, widths[-1] + 1)
-            if edge_ok(last, r, r_next)
-        ]
-        strict = [r_next for r_next in admissible if r_next > r]
-        r_seq.append(min(strict) if strict else min(admissible))
-        return tuple(r_seq), None
-
-    # Localize: forward reach dies at the first level whose constraints are
-    # unsatisfiable no matter which stable counts were chosen earlier.
-    reach = set(range(1, widths[0] + 1))
-    for i in range(n_levels - 1):
-        nxt = {
-            r_next
-            for r in reach
-            for r_next in range(r, widths[i + 1] + 1)
-            if edge_ok(i, r, r_next)
-        }
-        if not nxt:
+    Matrix i admits exactly the transitions with r in [low, t_i] (low is
+    max(1, z_i) under JI, else 1) and r_next in [need_i, cap_i], cap_i being
+    the lookahead bound t_{i+1}.  The two ranges are independent and
+    need_i >= t_i,
+    so a sequence exists iff every matrix admits some transition, and the
+    maximal interior counts are then the t_i themselves."""
+    n_mats = len(prefix.matrices)
+    bounds = [_matrix_bounds(prefix, i) for i in range(n_mats)]
+    top = [t for t, _, _ in bounds]
+    cap = top[1:] + [prefix.width(n_mats)]
+    # Forward reach at level i: every r in [lo, hi] is reachable.
+    lo, hi = 1, prefix.width(0)
+    for i, (t, need, z) in enumerate(bounds):
+        low = max(1, z) if ji else 1
+        if low > t or need is None or need > cap[i]:
+            # The first matrix admitting no transition is where the reach
+            # dies, whatever stable counts were chosen earlier.
             pairs = [
                 (r, r_next, _edge_failure(prefix, i, r, r_next, ji))
-                for r in sorted(reach)
-                for r_next in range(r, widths[i + 1] + 1)
+                for r in range(lo, hi + 1)
+                for r_next in range(r, prefix.width(i + 1) + 1)
             ]
             return i, pairs
-        reach = nxt
-    raise AssertionError("unreachable: no witness but forward reach survived")
+        lo, hi = need, cap[i]
+    # Interior levels carry the maximal certified stable count; the final
+    # level is unconstrained from below, so take the minimal continuation
+    # there (strictly increasing when possible) rather than an unevidenced
+    # jump to full width.
+    r = top[-1]
+    return tuple(top) + (lo if lo > r else min(r + 1, hi),), None
 
 
 def _pick_reason(prefix, level, pairs, ji: bool) -> str:
@@ -237,9 +226,9 @@ def _pick_reason(prefix, level, pairs, ji: bool) -> str:
     best = None
     rfd_edge = None
     if ji:
-        rfd = check_rfd(prefix, mode="strict")
-        if rfd.consistent:
-            rfd_edge = (rfd.witness.r[level], rfd.witness.r[level + 1])
+        r_seq, failed = _strict_search(prefix, False)
+        if failed is None:
+            rfd_edge = (r_seq[level], r_seq[level + 1])
     for r, r_next, fail in pairs:
         if fail is None:  # pragma: no cover - only failing pairs are passed
             continue
@@ -260,14 +249,14 @@ def _extract_blocks(
 ) -> tuple[RfdBlocks, ...]:
     blocks = []
     for i, mat in enumerate(prefix.matrices):
-        p_src = perms[i] if perms else range(mat.cols)
-        p_dst = perms[i + 1] if perms else range(mat.rows)
-        arranged = [[mat.entry(a, b) for b in p_src] for a in p_dst]
+        arranged = mat.entries
+        if perms:
+            arranged = [tuple(arranged[a][b] for b in perms[i]) for a in perms[i + 1]]
         r, rn = r_seq[i], r_seq[i + 1]
         m = mat.cols
 
         def cut(r0, r1, c0, c1):
-            return tuple(tuple(arranged[a][b] for b in range(c0, c1)) for a in range(r0, r1))
+            return tuple(row[c0:c1] for row in arranged[r0:r1])
 
         blocks.append(
             RfdBlocks(

@@ -232,6 +232,14 @@ class TestMoreVerbs:
         # top level index 3 -> four levels, last width 4 -> 2^4 profiles
         assert json.loads(out)["count"] == 16
 
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_enumerate_rejects_malformed_width_env(self, capsys, ex57b_file, monkeypatch, value):
+        monkeypatch.setenv("BRATTELI_MAX_WIDTH", value)
+        code, out, err = run_capture(capsys, ["ideals", "enumerate", ex57b_file])
+        assert code == 1
+        assert out == ""
+        assert "BRATTELI_MAX_WIDTH" in err and repr(value) in err
+
     def test_intertwine_estimate(self, capsys, ex43_file):
         code, out, _ = run_capture(
             capsys,

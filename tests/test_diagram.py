@@ -113,6 +113,23 @@ class TestValidate:
         prefix = BratteliPrefix([[2], [1]], [[[1]]], unital=False)
         assert any(i.code == "domination" for i in prefix.validate().issues)
 
+    def test_every_issue_kind_in_order(self):
+        prefix = BratteliPrefix(
+            [[2, 0], [2, 3], [2, 3, 9], [1, 0]],
+            [[[1, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 1, 1], [1, 0, 0]]],
+            unital=True,
+        )
+        issues = tuple((i.level, i.code, i.detail) for i in prefix.validate().issues)
+        assert issues == (
+            (0, "nonpositive size", "u_0(1) = 0"),
+            (3, "nonpositive size", "u_3(1) = 0"),
+            (0, "degenerate matrix", "zero row 1 in A_0"),
+            (0, "degenerate matrix", "zero column 1 in A_0"),
+            (0, "unitality", "A_0 u_0 = (2, 0) != u_1 = (2, 3)"),
+            (1, "shape mismatch", "A_1 is 2x2, expected 3x2"),
+            (2, "domination", "A_2 u_2 = (14, 2) exceeds u_3 = (1, 0)"),
+        )
+
 
 class TestGenerator:
     def test_constant_ones_matches_spec(self):

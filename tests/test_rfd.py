@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bratteli import rfd
 from bratteli import (
     BratteliPrefix,
     InsufficientPrefixError,
@@ -172,3 +174,115 @@ class TestPermutationMode:
         assert result.consistent
         assert result.witness.r == (1, 2, 3, 4)
         assert validate_witness(scrambled, result.witness, ji=True)
+
+
+# --- brute-force oracle for the strict search -------------------------------
+
+
+def _top_rules(prefix: BratteliPrefix, i: int, r: int) -> bool:
+    """Rows 0..r-1 of A_i are the identity rows and those sizes repeat."""
+    rows = prefix.matrices[i].entries
+    m = len(rows[0])
+    u_src, u_dst = prefix.levels[i].entries, prefix.levels[i + 1].entries
+    return r <= len(rows) and all(
+        list(rows[j]) == [1 if k == j else 0 for k in range(m)] and u_dst[j] == u_src[j]
+        for j in range(r)
+    )
+
+
+def _transition_ok(prefix: BratteliPrefix, i: int, r: int, r_next: int, ji: bool) -> bool:
+    """The module docstring's rules for (r at level i) -> (r_next at level
+    i+1), plus the top rules of the next matrix at r_next (the lookahead)."""
+    rows = prefix.matrices[i].entries
+    m = len(rows[0])
+    if not (1 <= r <= m and r <= r_next <= len(rows)) or not _top_rules(prefix, i, r):
+        return False
+    if any(all(rows[j][k] == 0 for j in range(r, r_next)) for k in range(r, m)):
+        return False  # a zero column in A22
+    if ji and any(rows[j][k] == 0 for j in range(r, len(rows)) for k in range(m)):
+        return False  # a zero entry in A21, A22, A31 or A32
+    return i + 1 == len(prefix.matrices) or _top_rules(prefix, i + 1, r_next)
+
+
+def brute_strict(prefix: BratteliPrefix, ji: bool):
+    """("fail", level) or ("ok", r, kseq), by extending every non-decreasing
+    r-sequence one level at a time."""
+    partial = [(r,) for r in range(1, prefix.width(0) + 1)]
+    for i in range(prefix.depth - 1):
+        partial = [
+            seq + (r_next,)
+            for seq in partial
+            for r_next in range(seq[-1], prefix.width(i + 1) + 1)
+            if _transition_ok(prefix, i, seq[-1], r_next, ji)
+        ]
+        if not partial:
+            return ("fail", i)
+    interior = max(seq[:-1] for seq in partial)
+    finals = [seq[-1] for seq in partial if seq[:-1] == interior]
+    strict = [f for f in finals if f > interior[-1]]
+    r = interior + (min(strict) if strict else min(finals),)
+    return ("ok", r, prefix.levels[-1].entries[: r[-1]])
+
+
+@st.composite
+def general_prefixes(draw):
+    """Valid general-shape prefixes, depth 2-6 and widths 1-4, biased
+    towards identity rows on top so that both verdicts occur."""
+    depth = draw(st.integers(2, 6))
+    widths = [draw(st.integers(1, 4))]
+    for _ in range(depth - 1):
+        widths.append(min(4, max(1, widths[-1] + draw(st.sampled_from([-1, 0, 1, 1, 2])))))
+    unital = draw(st.booleans())
+    levels = [draw(st.lists(st.integers(1, 3), min_size=widths[0], max_size=widths[0]))]
+    mats = []
+    for n in range(depth - 1):
+        n_rows, n_cols = widths[n + 1], widths[n]
+        top = draw(st.integers(0, min(n_rows, n_cols)) | st.just(min(n_rows, n_cols)))
+        rows = [[1 if k == j else 0 for k in range(n_cols)] for j in range(top)]
+        for _ in range(top, n_rows):
+            rows.append(draw(st.lists(st.integers(0, 2), min_size=n_cols, max_size=n_cols)))
+        for j in range(n_rows):
+            if not any(rows[j]):
+                rows[j][j % n_cols] = 1
+        for k in range(n_cols):
+            if not any(rows[j][k] for j in range(n_rows)):
+                rows[k % n_rows][k] = 1
+        mats.append(rows)
+        image = [sum(a * b for a, b in zip(row, levels[-1])) for row in rows]
+        if not unital:
+            extra = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n_rows, max_size=n_rows))
+            image = [a + b for a, b in zip(image, extra)]
+        levels.append(image)
+    return BratteliPrefix(levels, mats, unital=unital)
+
+
+class TestStrictAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(general_prefixes(), st.booleans())
+    def test_matches_brute_force(self, prefix, ji):
+        assert prefix.validate().ok
+        result = (check_rfd_ji if ji else check_rfd)(prefix)
+        expected = brute_strict(prefix, ji)
+        if expected[0] == "fail":
+            assert not result.consistent
+            assert result.level == expected[1]
+        else:
+            assert result.consistent
+            assert (result.witness.r, result.witness.kseq) == expected[1:]
+            assert validate_witness(prefix, result.witness, ji=ji)
+
+    @pytest.mark.parametrize("checker", [check_rfd, check_rfd_ji])
+    def test_consistent_prefix_words_no_transition(self, checker, monkeypatch):
+        # The per-rule wording runs only for a failing level; a consistent
+        # prefix never reaches it, however deep.
+        calls = []
+        original = rfd._edge_failure
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rfd, "_edge_failure", counting)
+        result = checker(embed_triangular(all_ones_spec(29), 29))
+        assert result.consistent and result.witness.r == tuple(range(1, 31))
+        assert calls == []
