@@ -18,7 +18,6 @@ from .diagram import (
     TriangularSpec,
     characteristic_sequence,
     embed_triangular,
-    validate,
 )
 from .errors import BratteliError, FormatError, InsufficientPrefixError, InvalidPrefixError
 from .ideals import (

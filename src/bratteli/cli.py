@@ -111,7 +111,10 @@ def _parse_profile(prefix: BratteliPrefix, args) -> IdealProfile:
     if name == "co-last-column":
         return profile_from_last_level(prefix, range(width - 1))
     if name.startswith("co-column:"):
-        j = int(name.split(":", 1)[1])
+        try:
+            j = int(name.split(":", 1)[1])
+        except ValueError:
+            raise BratteliError(f"bad --profile {name!r}; expected co-column:J, J an integer") from None
         if not 0 <= j < width:
             raise BratteliError(f"column {j} outside the last level")
         return profile_from_last_level(prefix, [v for v in range(width) if v != j])

@@ -319,11 +319,6 @@ def embed_triangular(spec: TriangularSpec, count: int) -> BratteliPrefix:
     return BratteliPrefix(levels, matrices, unital=True)
 
 
-def validate(prefix: BratteliPrefix) -> ValidationReport:
-    """Module-level alias for `BratteliPrefix.validate`."""
-    return prefix.validate()
-
-
 @dataclass(frozen=True, eq=False)
 class DiagramGenerator:
     """Lazy rule producing finite prefixes of an infinite triangular diagram.

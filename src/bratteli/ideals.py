@@ -10,12 +10,22 @@ The hereditary rule needs the next level, so it is asserted at every level
 except the last; the last level of a truncation is free.  Consequently a
 valid profile is determined by its last-level set, every statement here is
 prefix-relative, and the closure of a seed set is a genuine least fixpoint.
+
+All closures run through one kernel on int bitmask levels, with one
+successor mask per matrix column, built (and the prefix validated) once per
+public call.  One forward pass ORs the successor masks of the set bits into
+the next level (directed); one backward pass, from the last matrix down,
+adds every column whose successor mask lies in T_{n+1} (hereditary).  That
+is the least fixpoint: a column the backward pass adds has all its
+successors in T_{n+1} already, so it pushes nothing new forward.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .diagram import BratteliPrefix, DimensionVector, MultiplicityMatrix
@@ -57,7 +67,9 @@ class IdealProfile:
         return self.T
 
 
-def _check_profile_shape(prefix: BratteliPrefix, profile: IdealProfile) -> None:
+def profile_is_valid(prefix: BratteliPrefix, profile: IdealProfile) -> bool:
+    """Both propagation rules hold at every applicable level, checked rule
+    by rule (deliberately not through the closure kernel)."""
     if profile.depth != prefix.depth:
         raise BratteliError(
             f"profile has {profile.depth} levels, prefix has {prefix.depth}"
@@ -66,11 +78,6 @@ def _check_profile_shape(prefix: BratteliPrefix, profile: IdealProfile) -> None:
         for v in level:
             if not 0 <= v < prefix.width(n):
                 raise BratteliError(f"profile vertex {v} out of range at level {n}")
-
-
-def profile_is_valid(prefix: BratteliPrefix, profile: IdealProfile) -> bool:
-    """Both propagation rules hold at every applicable level."""
-    _check_profile_shape(prefix, profile)
     for n, mat in enumerate(prefix.matrices):
         T_here = set(profile.T[n])
         T_next = set(profile.T[n + 1])
@@ -86,37 +93,53 @@ def profile_is_valid(prefix: BratteliPrefix, profile: IdealProfile) -> bool:
     return True
 
 
-def _hereditary_pull(mat: MultiplicityMatrix, T_next: set[int]) -> set[int]:
-    return {
-        k
-        for k in range(mat.cols)
-        if all(l in T_next for l in range(mat.rows) if mat.entry(l, k) != 0)
-    }
+def _successor_masks(prefix: BratteliPrefix) -> list[list[int]]:
+    """Validate the prefix, then give per matrix the mask of the rows each
+    column reaches with a non-zero entry."""
+    prefix.require_valid()
+    return [
+        [sum(1 << l for l, e in enumerate(col) if e) for col in zip(*mat.entries)]
+        for mat in prefix.matrices
+    ]
+
+
+def _closure(succ: list[list[int]], sets: list[int]) -> list[int]:
+    """Least valid profile containing the level masks `sets` (updated in
+    place): one directed push forward, then one hereditary pull backward."""
+    for n, cols in enumerate(succ):
+        here = sets[n]
+        if here:
+            sets[n + 1] |= reduce(or_, (s for k, s in enumerate(cols) if here >> k & 1), 0)
+    for n in range(len(succ) - 1, -1, -1):
+        nxt = sets[n + 1]
+        sets[n] |= sum(1 << k for k, s in enumerate(succ[n]) if s | nxt == nxt)
+    return sets
+
+
+def _profile(prefix: BratteliPrefix, sets: list[int]) -> IdealProfile:
+    return IdealProfile(
+        [v for v in range(prefix.width(n)) if m >> v & 1] for n, m in enumerate(sets)
+    )
+
+
+def _generating_level(succ: list[list[int]], profile: IdealProfile) -> int | None:
+    """First interior level whose set alone closes to the whole profile."""
+    masks = [sum(1 << v for v in level) for level in profile.T]
+    for n0 in range(len(succ)):
+        if _closure(succ, [m if n == n0 else 0 for n, m in enumerate(masks)]) == masks:
+            return n0
+    return None
 
 
 def close(prefix: BratteliPrefix, seeds: Iterable[tuple[int, int]]) -> IdealProfile:
     """Least valid profile containing the given (level, vertex) seeds."""
-    prefix.require_valid()
-    sets: list[set[int]] = [set() for _ in range(prefix.depth)]
+    succ = _successor_masks(prefix)
+    sets = [0] * prefix.depth
     for n, v in seeds:
         if not 0 <= n < prefix.depth or not 0 <= v < prefix.width(n):
             raise BratteliError(f"seed ({n}, {v}) out of range")
-        sets[n].add(v)
-    changed = True
-    while changed:
-        changed = False
-        for n, mat in enumerate(prefix.matrices):
-            for k in list(sets[n]):
-                for l in range(mat.rows):
-                    if mat.entry(l, k) != 0 and l not in sets[n + 1]:
-                        sets[n + 1].add(l)
-                        changed = True
-        for n in range(prefix.depth - 2, -1, -1):
-            pulled = _hereditary_pull(prefix.matrices[n], sets[n + 1])
-            if not pulled <= sets[n]:
-                sets[n] |= pulled
-                changed = True
-    return IdealProfile(sets)
+        sets[n] |= 1 << v
+    return _profile(prefix, _closure(succ, sets))
 
 
 def profile_from_last_level(prefix: BratteliPrefix, last: Iterable[int]) -> IdealProfile:
@@ -131,7 +154,6 @@ def quotient(prefix: BratteliPrefix, profile: IdealProfile) -> BratteliPrefix:
     are not unital).
     """
     prefix.require_valid()
-    _check_profile_shape(prefix, profile)
     if not profile_is_valid(prefix, profile):
         raise BratteliError("profile violates the propagation rules")
     if profile.is_full(prefix):
@@ -156,17 +178,10 @@ def is_compact(prefix: BratteliPrefix, profile: IdealProfile) -> bool:
     forward propagation left to fail, so it would certify any profile
     vacuously.  The zero ideal is compact outright (empty generator set).
     """
-    prefix.require_valid()
-    _check_profile_shape(prefix, profile)
+    succ = _successor_masks(prefix)
     if not profile_is_valid(prefix, profile):
         raise BratteliError("profile violates the propagation rules")
-    if profile.is_empty():
-        return True
-    for n0 in range(prefix.depth - 1):
-        seeds = [(n0, v) for v in profile.T[n0]]
-        if close(prefix, seeds) == profile:
-            return True
-    return False
+    return profile.is_empty() or _generating_level(succ, profile) is not None
 
 
 def width_cap() -> int:
@@ -192,16 +207,13 @@ def enumerate_ideals(prefix: BratteliPrefix, max_width: int | None = None) -> li
     the subset brute force over all levels survives in the tests as an
     independent oracle.
     """
-    prefix.require_valid()
+    succ = _successor_masks(prefix)
     cap = width_cap() if max_width is None else max_width
     widest = max(prefix.width(n) for n in range(prefix.depth))
     if widest > cap:
         raise BratteliError(f"width cap exceeded: {widest} > {cap}")
-    m_last = prefix.width(prefix.depth - 1)
-    out = []
-    for mask in range(1 << m_last):
-        last = [v for v in range(m_last) if mask >> v & 1]
-        out.append(profile_from_last_level(prefix, last))
+    last = prefix.depth - 1
+    out = [_profile(prefix, _closure(succ, [0] * last + [m])) for m in range(1 << prefix.width(last))]
     out.sort(key=IdealProfile.sort_key)
     return out
 
@@ -224,21 +236,15 @@ def primitive_profiles(prefix: BratteliPrefix, witness: RfdWitness) -> list[Prim
     """
     if not validate_witness(prefix, witness, ji=True):
         raise BratteliError("witness mismatch: not a valid just-infinite certificate")
+    succ = _successor_masks(prefix)
     persistent = witness.r[-2] if prefix.depth >= 2 else 0
-    perms = witness.permutations
     last = prefix.depth - 1
-    out = []
-    for j in range(persistent):
-        vertex = perms[last][j] if perms else j
-        others = [v for v in range(prefix.width(last)) if v != vertex]
-        out.append(
-            PrimitiveIdeal(
-                line=j,
-                k=witness.kseq[j],
-                profile=profile_from_last_level(prefix, others),
-            )
-        )
-    return out
+    vertices = witness.permutations[last][:persistent] if witness.permutations else range(persistent)
+    full_last = (1 << prefix.width(last)) - 1
+    return [
+        PrimitiveIdeal(j, witness.kseq[j], _profile(prefix, _closure(succ, [0] * last + [others])))
+        for j, others in enumerate(full_last & ~(1 << v) for v in vertices)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,14 +276,19 @@ class JustInfiniteEvidence:
         return tuple(s for s in self.seeds if s.failed)
 
 
-def _stabilize_from(q: BratteliPrefix) -> int | None:
-    """Smallest index from which every quotient matrix is the identity;
-    None when not even the final matrix is (nothing observed stabilizing)."""
-    mats = q.matrices
-    s = len(mats)
-    while s > 0 and mats[s - 1].is_identity():
-        s -= 1
-    return s if s < len(mats) else (0 if not mats else None)
+def _kept_is_identity(mat: MultiplicityMatrix, cols: list[int], kept: int, kept_next: int) -> bool:
+    """Is the submatrix on the kept columns and kept rows an identity?  Each
+    kept column must reach one kept row, with entry 1, and the rows must
+    rise with the columns.  Every kept row is reached: the directed rule puts
+    its non-zero entries, of which it has at least one, in kept columns."""
+    prev = 0
+    for k, s in enumerate(cols):
+        if kept >> k & 1:
+            s &= kept_next
+            if s <= prev or s & (s - 1) or mat.entries[s.bit_length() - 1][k] != 1:
+                return False
+            prev = s
+    return True
 
 
 def just_infinite_evidence(prefix: BratteliPrefix, witness: RfdWitness) -> JustInfiniteEvidence:
@@ -292,17 +303,26 @@ def just_infinite_evidence(prefix: BratteliPrefix, witness: RfdWitness) -> JustI
     # interesting case, since the report then localizes the failing seed.
     if not validate_witness(prefix, witness, ji=False):
         raise BratteliError("witness mismatch: not a valid block-structure certificate")
+    succ = _successor_masks(prefix)
+    full = [(1 << prefix.width(n)) - 1 for n in range(prefix.depth)]
+    mats = prefix.matrices
+    n_mats = len(mats)
     records = []
-    n_mats = prefix.depth - 1
     for n in range(prefix.depth):
+        observable = n_mats > n + 1
         for v in range(prefix.width(n)):
-            profile = close(prefix, [(n, v)])
-            observable = n_mats > n + 1
-            if profile.is_full(prefix):
+            sets = _closure(succ, [1 << v if i == n else 0 for i in range(prefix.depth)])
+            if sets == full:
                 records.append(SeedEvidence(n, v, True, None, observable))
                 continue
-            q = quotient(prefix, profile)
-            records.append(SeedEvidence(n, v, False, _stabilize_from(q), observable))
+            # The quotient keeps the complements and stabilizes from the start
+            # of its trailing identity run (None: the last matrix is no identity).
+            kept = [f & ~t for f, t in zip(full, sets)]
+            s = n_mats
+            while s > 0 and _kept_is_identity(mats[s - 1], succ[s - 1], kept[s - 1], kept[s]):
+                s -= 1
+            stabilize = s if s < n_mats else (0 if not n_mats else None)
+            records.append(SeedEvidence(n, v, False, stabilize, observable))
     return JustInfiniteEvidence(prefix.depth, tuple(records))
 
 
@@ -316,39 +336,18 @@ def has_findim_quotient_line(prefix: BratteliPrefix, profile: IdealProfile) -> b
     complements have settled), mirroring the way a compact ideal is pinned
     to a single level.
     """
-    prefix.require_valid()
+    succ = _successor_masks(prefix)
     for n, mat in enumerate(prefix.matrices):
-        if mat.rows < mat.cols or not all(
-            mat.entry(i, j) == (1 if i == j else 0)
-            for i in range(mat.cols)
-            for j in range(mat.cols)
-        ):
+        if not MultiplicityMatrix(mat.entries[: mat.cols]).is_identity():
             raise BratteliError(f"shape mismatch: matrix {n} is not identity-over-rows")
-    _check_profile_shape(prefix, profile)
     if not profile_is_valid(prefix, profile):
         raise BratteliError("profile violates the propagation rules")
     if profile.is_full(prefix):
         raise BratteliError("profile must be proper")
-    if not is_compact(prefix, profile):
+    n0 = 0 if profile.is_empty() else _generating_level(succ, profile)
+    if n0 is None:
         raise BratteliError("profile must be compact within the prefix")
-    n0 = 0
-    if not profile.is_empty():
-        for cand in range(prefix.depth - 1):
-            if close(prefix, [(cand, v) for v in profile.T[cand]]) == profile:
-                n0 = cand
-                break
     kept = profile.complement(prefix)
-    for line in kept[n0]:
-        ok = True
-        for n in range(n0, prefix.depth):
-            if line >= prefix.width(n) or line not in kept[n]:
-                ok = False
-                break
-            if n < prefix.depth - 1:
-                row = prefix.matrices[n].row(line)
-                if any(row[j] != (1 if j == line else 0) for j in range(len(row))):
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
+    # Row `line` of matrix n lies in its identity block (checked above), so
+    # a line kept at every level only ever continues into itself.
+    return any(all(line in kept[n] for n in range(n0, prefix.depth)) for line in kept[n0])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import pytest
 
 from bratteli import (
     BratteliPrefix,
+    IdealProfile,
     MultiplicityMatrix,
     SimplexPoint,
     StochasticAffineMap,
     TriangularSpec,
     embed_triangular,
+    profile_is_valid,
 )
 from bratteli.fixtures import fixture_diagram
 
@@ -63,6 +66,21 @@ def random_unital_prefix(
         matrices.append(mat)
         levels.append(list(mat.apply(levels[-1])))
     return BratteliPrefix(levels, matrices, unital=True)
+
+
+def brute_force_profiles(prefix: BratteliPrefix) -> list[IdealProfile]:
+    """Oracle: filter every per-level subset combination by both rules."""
+    widths = [prefix.width(n) for n in range(prefix.depth)]
+    out = []
+    for combo in itertools.product(*[range(1 << w) for w in widths]):
+        T = [
+            tuple(v for v in range(w) if combo[n] >> v & 1)
+            for n, w in enumerate(widths)
+        ]
+        profile = IdealProfile(T)
+        if profile_is_valid(prefix, profile):
+            out.append(profile)
+    return sorted(out, key=IdealProfile.sort_key)
 
 
 def random_unital_step(rng: random.Random):

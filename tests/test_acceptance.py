@@ -7,7 +7,6 @@ budgets are asserted with `time.perf_counter`.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -47,6 +46,7 @@ from bratteli.fixtures import fixture_diagram
 
 from conftest import (
     all_ones_spec,
+    brute_force_profiles,
     random_point,
     random_stochastic_map,
     random_unital_prefix,
@@ -224,19 +224,8 @@ def test_criterion_10_enumeration_matches_brute_force():
     for _ in range(100):
         prefix = random_unital_prefix(rng, max_depth=3, max_width=4)
         fast = enumerate_ideals(prefix)
-        widths = [prefix.width(n) for n in range(prefix.depth)]
-        slow = []
-        for combo in itertools.product(*[range(1 << w) for w in widths]):
-            T = [
-                tuple(v for v in range(w) if combo[n] >> v & 1)
-                for n, w in enumerate(widths)
-            ]
-            profile = IdealProfile(T)
-            if profile_is_valid(prefix, profile):
-                slow.append(profile)
-        assert sorted(fast, key=IdealProfile.sort_key) == sorted(
-            slow, key=IdealProfile.sort_key
-        )
+        slow = brute_force_profiles(prefix)
+        assert sorted(fast, key=IdealProfile.sort_key) == slow
         assert len(set(p.T for p in fast)) == len(fast)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -82,6 +82,15 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith("compact")
 
+    @pytest.mark.parametrize("action", ["quotient", "compact"])
+    def test_non_integer_profile_column_is_one(self, capsys, ex57b_file, action):
+        code, out, err = run_capture(
+            capsys, ["ideals", action, ex57b_file, "--profile", "co-column:abc"]
+        )
+        assert code == 1
+        assert not out
+        assert "--profile" in err and "'co-column:abc'" in err
+
 
 class TestPipedZeta:
     def test_exact_rendered_string(self, capsys, monkeypatch):

@@ -22,23 +22,67 @@ from bratteli import (
     profile_is_valid,
     quotient,
 )
+from bratteli.ideals import JustInfiniteEvidence, SeedEvidence
 
-from conftest import random_unital_prefix
+from conftest import brute_force_profiles, random_unital_prefix
 
 
-def brute_force_profiles(prefix: BratteliPrefix) -> list[IdealProfile]:
-    """Oracle: filter every per-level subset combination by both rules."""
-    widths = [prefix.width(n) for n in range(prefix.depth)]
-    out = []
-    for combo in itertools.product(*[range(1 << w) for w in widths]):
-        T = [
-            tuple(v for v in range(w) if combo[n] >> v & 1)
-            for n, w in enumerate(widths)
-        ]
-        profile = IdealProfile(T)
-        if profile_is_valid(prefix, profile):
-            out.append(profile)
-    return sorted(out, key=IdealProfile.sort_key)
+def least_containing(profiles: list[IdealProfile], seeds) -> IdealProfile:
+    """The brute-force profile that contains the seeds and lies inside
+    every other profile containing them."""
+    uppers = [p for p in profiles if all(v in p.T[n] for n, v in seeds)]
+    (least,) = [
+        p
+        for p in uppers
+        if all(set(p.T[n]) <= set(q.T[n]) for q in uppers for n in range(p.depth))
+    ]
+    return least
+
+
+def slow_evidence(prefix: BratteliPrefix) -> JustInfiniteEvidence:
+    """Oracle for `just_infinite_evidence`: brute-force closure of each
+    seed, then the materialised quotient and its identity matrices."""
+    profiles = brute_force_profiles(prefix)
+    n_mats = prefix.depth - 1
+    seeds = []
+    for n in range(prefix.depth):
+        for v in range(prefix.width(n)):
+            profile = least_containing(profiles, [(n, v)])
+            observable = n_mats > n + 1
+            if profile.is_full(prefix):
+                seeds.append(SeedEvidence(n, v, True, None, observable))
+                continue
+            identities = [m.is_identity() for m in quotient(prefix, profile).matrices]
+            s = n_mats
+            while s > 0 and identities[s - 1]:
+                s -= 1
+            stable = s if s < n_mats else (0 if not n_mats else None)
+            seeds.append(SeedEvidence(n, v, False, stable, observable))
+    return JustInfiniteEvidence(prefix.depth, tuple(seeds))
+
+
+def random_identity_over_rows_prefix(rng: random.Random, max_depth=4, max_width=4):
+    """Identity blocks stacked over random rows, so that many of these
+    prefixes carry an RFD witness; unital or not."""
+    depth = rng.randrange(2, max_depth + 1)
+    widths = [rng.randrange(1, 3)]
+    for _ in range(depth - 1):
+        widths.append(rng.randrange(widths[-1], min(widths[-1] + 2, max_width) + 1))
+    unital = rng.random() < 0.5
+    levels = [[rng.randrange(1, 4) for _ in range(widths[0])]]
+    matrices = []
+    for cols, rows in zip(widths, widths[1:]):
+        extra = [[rng.randrange(0, 3) for _ in range(cols)] for _ in range(rows - cols)]
+        for row in extra:
+            if not any(row):
+                row[rng.randrange(cols)] = 1
+        mat = [[int(i == j) for j in range(cols)] for i in range(cols)] + extra
+        image = [sum(e * u for e, u in zip(row, levels[-1])) for row in mat]
+        if not unital:
+            image[cols:] = [x + rng.randrange(0, 2) for x in image[cols:]]
+        matrices.append(mat)
+        levels.append(image)
+    return BratteliPrefix(levels, matrices, unital=unital)
 
 
 class TestClose:
@@ -272,3 +316,59 @@ class TestLattice:
                 )
                 assert sum(len(t) for t in join.T) == sum(len(t) for t in least.T)
                 assert join in profiles
+
+
+class TestKernelAgainstBruteForce:
+    def test_close_is_the_least_containing_profile(self):
+        rng = random.Random(303)
+        for _ in range(40):
+            prefix = random_unital_prefix(rng, max_depth=4, max_width=4)
+            profiles = brute_force_profiles(prefix)
+            for _ in range(6):
+                seeds = [
+                    (n, v)
+                    for n in range(prefix.depth)
+                    for v in range(prefix.width(n))
+                    if rng.random() < 0.15
+                ]
+                assert close(prefix, seeds) == least_containing(profiles, seeds)
+
+    def test_just_infinite_evidence_matches_quotient_oracle(self):
+        rng = random.Random(304)
+        checked = 0
+        for _ in range(80):
+            prefix = random_identity_over_rows_prefix(rng)
+            result = check_rfd(prefix)
+            if not result.consistent:
+                continue
+            assert just_infinite_evidence(prefix, result.witness) == slow_evidence(prefix)
+            checked += 1
+        assert checked >= 40
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["close", "enumerate_ideals", "is_compact", "primitive_profiles", "just_infinite_evidence"],
+)
+def test_each_public_call_validates_its_prefix_once(name, monkeypatch, ones12, ex57a_right):
+    prefix = embed_triangular(ones12, 6)
+    ji_witness = check_rfd_ji(prefix).witness
+    rfd_witness = check_rfd(ex57a_right).witness
+    profile = close(prefix, [(1, 1)])
+    runs = {
+        "close": lambda: close(prefix, [(2, 0), (3, 1)]),
+        "enumerate_ideals": lambda: enumerate_ideals(prefix),
+        "is_compact": lambda: is_compact(prefix, profile),
+        "primitive_profiles": lambda: primitive_profiles(prefix, ji_witness),
+        "just_infinite_evidence": lambda: just_infinite_evidence(ex57a_right, rfd_witness),
+    }
+    calls = []
+    original = BratteliPrefix.validate
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BratteliPrefix, "validate", counting)
+    runs[name]()
+    assert len(calls) == 1
