@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import BratteliError
@@ -28,30 +29,32 @@ from .simplex import SimplexPoint, StochasticAffineMap
 _METRICS = ("l1", "l2")
 
 
-def _point_distance(a: SimplexPoint, b: SimplexPoint, metric: str) -> Fraction:
-    if metric == "l1":
-        return a.l1_distance(b)
-    if metric == "l2":
-        return a.l2sq_distance(b)
-    raise BratteliError(f"unknown metric {metric!r}")
-
-
 def map_distance(f: StochasticAffineMap, g: StochasticAffineMap, metric: str = "l1") -> Fraction:
     """Uniform distance between two maps with the same shape.
 
     The pointwise distance x -> d(f(x), g(x)) is convex, so its sup over the
     simplex is attained at a vertex; the result is the exact max over
     columns.  For l2 the squared distance is returned (max of squares equals
-    square of max).
+    square of max).  Each column pair is compared on integer numerators
+    over the lcm of its denominators.
     """
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise BratteliError("shape mismatch")
     if metric not in _METRICS:
         raise BratteliError(f"unknown metric {metric!r}")
-    return max(
-        _point_distance(f.column_point(j), g.column_point(j), metric)
-        for j in range(f.cols)
-    )
+    best = Fraction(0)
+    for a, b in zip(zip(*f.entries), zip(*g.entries)):
+        den = lcm(*(x.denominator for x in a), *(y.denominator for y in b))
+        diffs = [
+            x.numerator * (den // x.denominator) - y.numerator * (den // y.denominator)
+            for x, y in zip(a, b)
+        ]
+        if metric == "l1":
+            d = Fraction(sum(map(abs, diffs)), den)
+        else:
+            d = Fraction(sum(e * e for e in diffs), den * den)
+        best = max(best, d)
+    return best
 
 
 @dataclass(frozen=True, slots=True)

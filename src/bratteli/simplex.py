@@ -171,5 +171,7 @@ class StochasticAffineMap:
         """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
         the first n vertices and sends the last vertex to the given point."""
         n = new_vertex_image.dim
-        cols = [SimplexPoint.vertex(n, j) for j in range(n)] + [new_vertex_image]
-        return StochasticAffineMap.from_columns(cols)
+        return StochasticAffineMap(
+            (0,) * i + (1,) + (0,) * (n - 1 - i) + (c,)
+            for i, c in enumerate(new_vertex_image)
+        )

@@ -202,29 +202,36 @@ def approximate_on_simplex(
     returns a zero-error vector; approximate mode scans denominators
     D = 1, 2, 3, ... rounding by largest remainder and accepting the first D
     that meets eps, so a returned vector is always correct.
+
+    Both modes work on integers, with xi_j = p_j / q over one common
+    denominator.  In the scan, floor and remainder of xi_j D are p_j D // q
+    and p_j D % q, and |l_j / T - xi_j| < eps, with T = sum(l), is tested
+    as |l_j q - p_j T| eps.den < eps.num T q.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise BratteliError("tolerance must be positive")
+    q = lcm(*(c.denominator for c in xi.coords))
+    ps = [c.numerator * (q // c.denominator) for c in xi.coords]
     if exact:
-        if any(c == 0 for c in xi):
+        if 0 in ps:
             raise BratteliError(
                 "exact mode needs strictly positive coordinates (each l_j must be >= 1)"
             )
-        den = lcm(*(c.denominator for c in xi.coords))
-        ell = [c.numerator * (den // c.denominator) for c in xi.coords]
-        g = gcd(*ell)
-        return tuple(e // g for e in ell)
-    n = xi.dim
+        g = gcd(*ps)
+        return tuple(p // g for p in ps)
+    eps_num, eps_den = eps.numerator, eps.denominator
     for d in range(1, scan_cap + 1):
-        base = [int(c * d) for c in xi.coords]  # floor: c*d is a Fraction
-        remainders = [(c * d - b, -j) for j, (c, b) in enumerate(zip(xi.coords, base))]
+        scaled = [p * d for p in ps]
+        base = [x // q for x in scaled]
+        remainders = [(x % q, -j) for j, x in enumerate(scaled)]
         deficit = d - sum(base)
         for _, neg_j in sorted(remainders, reverse=True)[:deficit]:
             base[-neg_j] += 1
         ell = [max(1, b) for b in base]
         total = sum(ell)
-        if all(abs(Fraction(l, total) - c) < eps for l, c in zip(ell, xi.coords)):
+        bound = eps_num * total * q
+        if all(abs(l * q - p * total) * eps_den < bound for l, p in zip(ell, ps)):
             return tuple(ell)
     raise BratteliError(f"no approximation found within denominator cap {scan_cap}")
 
@@ -316,7 +323,7 @@ def synthesize(
         gap_l1 = xi.l1_distance(zeta_point)
         gap_l2 = xi.l2sq_distance(zeta_point)
         if gap_l1 >= Fraction(1, 2**n):
-            raise AssertionError(f"level {n} gap {gap_l1} exceeds its bound")
+            raise BratteliError(f"level {n}: l1 gap {gap_l1} is not below its bound 1/{2**n}")
         records.append(
             LevelSynthesis(n, ell, mvector, k_next, xi, zeta_point, gap_l1, gap_l2, eps_n)
         )

@@ -11,12 +11,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .diagram import BratteliPrefix, DimensionVector, MultiplicityMatrix, TriangularSpec, characteristic_sequence
 from .errors import BratteliError, InsufficientPrefixError
 from .rfd import RfdWitness
 from .simplex import SimplexPoint, StochasticAffineMap
+
+
+def _unital_step(
+    matrix: MultiplicityMatrix,
+    u_src: DimensionVector | Sequence[int],
+    u_dst: DimensionVector | Sequence[int],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The size vectors of one diagram step, checked to fit the matrix and
+    to be carried onto each other unitally."""
+    src = tuple(u_src)
+    dst = tuple(u_dst)
+    if matrix.cols != len(src) or matrix.rows != len(dst):
+        raise BratteliError("matrix shape does not match the size vectors")
+    if matrix.apply(src) != dst:
+        raise BratteliError("non-unital step: A u_src != u_dst")
+    return src, dst
 
 
 def induced_trace_map(
@@ -30,12 +48,7 @@ def induced_trace_map(
     source vertices.  Rejects non-unital steps, where the columns would not
     sum to 1.
     """
-    src = tuple(u_src)
-    dst = tuple(u_dst)
-    if matrix.cols != len(src) or matrix.rows != len(dst):
-        raise BratteliError("matrix shape does not match the size vectors")
-    if matrix.apply(src) != dst:
-        raise BratteliError("non-unital step: A u_src != u_dst")
+    src, dst = _unital_step(matrix, u_src, u_dst)
     return StochasticAffineMap(
         tuple(
             tuple(Fraction(matrix.entry(i, j) * src[j], dst[i]) for i in range(len(dst)))
@@ -70,19 +83,32 @@ def zeta(spec: TriangularSpec, n: int) -> SimplexPoint:
 
 
 def push_point(prefix: BratteliPrefix, point: SimplexPoint, src_level: int, dst_level: int) -> SimplexPoint:
-    """Push a trace point down the diagram through composed induced maps."""
+    """Push a trace point down the diagram through the induced maps.
+
+    Each step applies the induced map of `induced_trace_map` without
+    building it, on integer numerators over one common denominator:
+    y_j = k_j sum_i A(i, j) x_i / l_i, over the old denominator times
+    lcm(l).  Every step is checked for shape and unitality as there.
+    """
     if not 0 <= dst_level < src_level < prefix.depth:
         raise BratteliError("need 0 <= target level < source level < depth")
     if point.dim != prefix.width(src_level):
         raise BratteliError(
             f"point has {point.dim} coordinates, level {src_level} has width {prefix.width(src_level)}"
         )
-    current = point
+    den = lcm(*(c.denominator for c in point))
+    nums = [c.numerator * (den // c.denominator) for c in point]
     for n in range(src_level - 1, dst_level - 1, -1):
-        current = induced_trace_map(
-            prefix.matrices[n], prefix.levels[n], prefix.levels[n + 1]
-        ).apply(current)
-    return current
+        matrix = prefix.matrices[n]
+        src, dst = _unital_step(matrix, prefix.levels[n], prefix.levels[n + 1])
+        scale = lcm(*dst)
+        weighted = [x * (scale // l) for x, l in zip(nums, dst)]
+        nums = [k * sum(map(mul, column, weighted)) for k, column in zip(src, zip(*matrix.entries))]
+        den *= scale
+        g = gcd(den, *nums)
+        den //= g
+        nums = [x // g for x in nums]
+    return SimplexPoint(Fraction(x, den) for x in nums)
 
 
 def limit_trace_restriction(t: Sequence, n: int) -> SimplexPoint:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bratteli import (
+    BratteliError,
     BratteliPrefix,
     IdealProfile,
     MultiplicityMatrix,
@@ -81,6 +82,23 @@ def brute_force_profiles(prefix: BratteliPrefix) -> list[IdealProfile]:
         if profile_is_valid(prefix, profile):
             out.append(profile)
     return sorted(out, key=IdealProfile.sort_key)
+
+
+def reference_approximation(xi: SimplexPoint, eps, scan_cap: int) -> tuple[int, ...]:
+    """Oracle: the denominator scan of `approximate_on_simplex` in plain
+    Fraction arithmetic, rounding by largest remainder at each D."""
+    eps = Fraction(eps)
+    for d in range(1, scan_cap + 1):
+        base = [int(c * d) for c in xi.coords]  # floor: c*d is a Fraction
+        remainders = [(c * d - b, -j) for j, (c, b) in enumerate(zip(xi.coords, base))]
+        deficit = d - sum(base)
+        for _, neg_j in sorted(remainders, reverse=True)[:deficit]:
+            base[-neg_j] += 1
+        ell = [max(1, b) for b in base]
+        total = sum(ell)
+        if all(abs(Fraction(l, total) - c) < eps for l, c in zip(ell, xi.coords)):
+            return tuple(ell)
+    raise BratteliError(f"no approximation found within denominator cap {scan_cap}")
 
 
 def random_unital_step(rng: random.Random):

@@ -76,6 +76,31 @@ class TestMapDistance:
                 x = SimplexPoint([a * step, b * step, 1 - (a + b) * step])
                 assert f.apply(x).l1_distance(g.apply(x)) <= best
 
+    def test_matches_column_points(self):
+        # oracle: the distance of each pair of columns as simplex points
+        rng = random.Random(17)
+        for _ in range(150):
+            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+            f = random_stochastic_map(rng, rows, cols)
+            g = random_stochastic_map(rng, rows, cols)
+            columns = [(f.column_point(j), g.column_point(j)) for j in range(cols)]
+            assert map_distance(f, g, "l1") == max(a.l1_distance(b) for a, b in columns)
+            assert map_distance(f, g, "l2") == max(a.l2sq_distance(b) for a, b in columns)
+
+    def test_builds_no_simplex_point(self, monkeypatch, halving_setup):
+        _, _, _, top, bottom = halving_setup
+        calls = []
+        original = SimplexPoint.__init__
+
+        def counting(self, coords):
+            calls.append(coords)
+            original(self, coords)
+
+        monkeypatch.setattr(SimplexPoint, "__init__", counting)
+        for metric in ("l1", "l2"):
+            map_distance(top.maps[9], bottom.maps[9], metric)
+        assert calls == []
+
 
 class TestGapSeries:
     def test_identical_sequences(self, halving_setup):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bratteli import (
     BratteliError,
@@ -22,6 +23,10 @@ from bratteli import (
     verify_g_consistency,
     zeta,
 )
+from bratteli import synthesis
+from bratteli.cli import run
+
+from conftest import reference_approximation
 
 
 def halving() -> StationarySpec:
@@ -74,6 +79,53 @@ class TestApproximateOnSimplex:
             approximate_on_simplex(
                 SimplexPoint([F(1, 97), F(96, 97)]), F(1, 10**9), scan_cap=10
             )
+
+
+@st.composite
+def rational_points(draw) -> SimplexPoint:
+    """Points of dimension 1-8 with mixed denominators and zero coordinates."""
+    dim = draw(st.integers(1, 8))
+    weights = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=9, max_denominator=12),
+            min_size=dim,
+            max_size=dim,
+        )
+    )
+    if all(w == 0 for w in weights):
+        weights[draw(st.integers(0, dim - 1))] = F(1)
+    return SimplexPoint.normalized(weights)
+
+
+# the synthesis tolerances 2^-n / (n+1) down to level 12, and coarser ones
+tolerances = st.one_of(
+    st.integers(0, 12).map(lambda n: F(1, 2**n * (n + 1))),
+    st.fractions(min_value=F(1, 200), max_value=1),
+)
+
+
+class TestScanAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_points(), tolerances, st.integers(1, 600))
+    def test_matches_fraction_scan(self, xi, eps, cap):
+        try:
+            expected = reference_approximation(xi, eps, cap)
+        except BratteliError as exc:
+            with pytest.raises(BratteliError) as got:
+                approximate_on_simplex(xi, eps, scan_cap=cap)
+            assert str(got.value) == str(exc)
+        else:
+            assert approximate_on_simplex(xi, eps, scan_cap=cap) == expected
+
+    @pytest.mark.parametrize("ratio", [F(1, 2), F(2, 3)])
+    def test_geometric_levels_match(self, ratio):
+        rng = random.Random(11)
+        targets = StationarySpec((), TailRule.geometric(ratio)).targets()
+        for n in range(9):
+            coords = list(targets.point(n).coords)
+            rng.shuffle(coords)
+            xi, eps = SimplexPoint(coords), F(1, 2**n * (n + 1))
+            assert approximate_on_simplex(xi, eps) == reference_approximation(xi, eps, 10**7)
 
 
 class TestSynthesizeLevel:
@@ -166,6 +218,18 @@ class TestSynthesize:
             b = StationarySpec([factor * h for h in head])
             for n in range(6):
                 assert stationary_targets(a, n) == stationary_targets(b, n)
+
+    def test_missed_gap_bound_is_a_domain_error(self, monkeypatch, capsys):
+        # equal weights pass levels 0 and 1, but at level 2 they realize the
+        # barycenter against the target (4/7, 2/7, 1/7): l1 gap 10/21
+        monkeypatch.setattr(synthesis, "approximate_on_simplex", lambda xi, eps, exact: (1,) * xi.dim)
+        targets = halving().targets()
+        with pytest.raises(BratteliError, match=r"^level 2: l1 gap 10/21 is not below its bound 1/4$"):
+            synthesize(targets, 3)
+        assert run(["synthesize", "--stationary", "geometric:1/2", "--levels", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "level 2: l1 gap 10/21 is not below its bound 1/4" in captured.err
 
 
 class TestGenerators:

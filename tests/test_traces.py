@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from bratteli import (
     BratteliPrefix,
     MultiplicityMatrix,
     SimplexPoint,
+    StochasticAffineMap,
     TraceLabel,
     TriangularSpec,
     check_rfd_ji,
@@ -20,6 +22,8 @@ from bratteli import (
     zeta,
 )
 from bratteli.diagram import characteristic_sequence
+
+from conftest import random_point, random_unital_prefix
 
 
 class TestInducedTraceMap:
@@ -89,6 +93,72 @@ class TestPushPoint:
         direct = push_point(prefix, point, 5, 1)
         staged = push_point(prefix, push_point(prefix, point, 5, 3), 3, 1)
         assert direct == staged
+
+
+def chained_push(prefix: BratteliPrefix, point: SimplexPoint, src: int, dst: int) -> SimplexPoint:
+    """Oracle: build each step's induced map and apply it."""
+    for n in range(src - 1, dst - 1, -1):
+        step = induced_trace_map(prefix.matrices[n], prefix.levels[n], prefix.levels[n + 1])
+        point = step.apply(point)
+    return point
+
+
+class TestPushAgainstInducedMaps:
+    def test_random_unital_prefixes(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            prefix = random_unital_prefix(rng, max_depth=6, max_width=5)
+            src = rng.randrange(1, prefix.depth)
+            dst = rng.randrange(src)
+            point = random_point(rng, prefix.width(src))
+            assert push_point(prefix, point, src, dst) == chained_push(prefix, point, src, dst)
+
+    def test_triangular_towers(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            depth = rng.randrange(2, 10)
+            mvectors = []
+            for n in range(depth):
+                m = [rng.randrange(0, 4) for _ in range(n + 1)]
+                m[rng.randrange(n + 1)] += 1  # keeps k_{n+1} positive
+                mvectors.append(tuple(m))
+            prefix = embed_triangular(TriangularSpec(rng.randrange(1, 5), mvectors), depth)
+            for src in range(1, prefix.depth):
+                point = random_point(rng, prefix.width(src))
+                for dst in range(src):
+                    assert push_point(prefix, point, src, dst) == chained_push(prefix, point, src, dst)
+
+    def test_non_unital_step_error_text(self):
+        # the step from level 1 to 2 is unital; the one below it carries
+        # size 1 to 2, not to 3
+        prefix = BratteliPrefix([[1], [3], [3]], [[[2]], [[1]]], unital=False)
+        with pytest.raises(BratteliError) as oracle:
+            chained_push(prefix, SimplexPoint.vertex(1, 0), 2, 0)
+        with pytest.raises(BratteliError) as got:
+            push_point(prefix, SimplexPoint.vertex(1, 0), 2, 0)
+        assert str(got.value) == str(oracle.value) == "non-unital step: A u_src != u_dst"
+
+    def test_shape_error_text(self):
+        # level 0 has two vertices, but matrix 0 has one column
+        prefix = BratteliPrefix([[1, 1], [2], [2]], [[[1]], [[1]]])
+        with pytest.raises(BratteliError) as oracle:
+            chained_push(prefix, SimplexPoint.vertex(1, 0), 2, 0)
+        with pytest.raises(BratteliError) as got:
+            push_point(prefix, SimplexPoint.vertex(1, 0), 2, 0)
+        assert str(got.value) == str(oracle.value) == "matrix shape does not match the size vectors"
+
+    def test_builds_no_map(self, monkeypatch, ones12):
+        prefix = embed_triangular(ones12, 10)
+        calls = []
+        original = StochasticAffineMap.__init__
+
+        def counting(self, entries):
+            calls.append(entries)
+            original(self, entries)
+
+        monkeypatch.setattr(StochasticAffineMap, "__init__", counting)
+        assert push_point(prefix, SimplexPoint.barycenter(10), 9, 0) == SimplexPoint.vertex(1, 0)
+        assert calls == []
 
 
 class TestLimitTraceRestriction:
