@@ -33,8 +33,9 @@ admissible iff max(1, z_i) <= r <= t_i and need_i <= r_next <= cap_i, where
 cap_i = t_{i+1} is the lookahead (w_{i+1} at the last matrix).  Admissible
 sets are therefore intervals, the forward reach after matrix i is
 [need_i, cap_i], and the search costs O(L * w^2) for L matrices of width w:
-one scan of each matrix.  Rule-by-rule wording is produced only for the
-transitions at a failing level.
+one scan of each matrix.  The reason for a failing level is read from the
+same bounds (t_i split into its row and size parts), in O(w^2) at that
+level only.
 """
 
 from __future__ import annotations
@@ -101,145 +102,136 @@ class RfdResult:
         return self.consistent
 
 
-def _top_failure(prefix: BratteliPrefix, i: int, r: int) -> tuple[int, str] | None:
-    mat = prefix.matrices[i]
-    for j in range(r):
-        row = mat.row(j)
-        for k in range(mat.cols):
-            if row[k] != (1 if k == j else 0):
-                return 1, f"row {j} of A_{i} is not the identity row e_{j}"
+def _matrix_bounds(prefix: BratteliPrefix, i: int) -> tuple[int, int, int | None, int]:
+    """(t_row, t_size, need, z) of matrix i: t_i = min(t_row, t_size) splits
+    into the first row that is not its identity row and the first index
+    whose size changes, each capped at min(rows, cols); need and z as in
+    the module docstring."""
+    rows = prefix.matrices[i].entries
     u_src = prefix.levels[i].entries
     u_dst = prefix.levels[i + 1].entries
-    for j in range(r):
-        if u_dst[j] != u_src[j]:
-            return 2, f"u_{i+1}({j}) = {u_dst[j]} != u_{i}({j}) = {u_src[j]}"
-    return None
-
-
-def _a22_failure(mat: MultiplicityMatrix, r: int, r_next: int) -> tuple[int, str] | None:
-    """Each column of the (r_next - r) x (m - r) block A22 must be non-zero."""
-    for k in range(r, mat.cols):
-        if all(mat.entry(j, k) == 0 for j in range(r, r_next)):
-            return 3, f"column {k} has no edge into a new stable line"
-    return None
-
-
-def _positivity_failure(
-    mat: MultiplicityMatrix, r: int, r_next: int
-) -> tuple[int, str] | None:
-    for j in range(r, mat.rows):
-        for k in range(mat.cols):
-            if mat.entry(j, k) == 0:
-                if j < r_next:
-                    block = "A^(2,1)" if k < r else "A^(2,2)"
-                else:
-                    block = "A^(3,1)" if k < r else "A^(3,2)"
-                return 4, f"zero entry in block {block} at row {j}, column {k}"
-    return None
-
-
-def _edge_failure(
-    prefix: BratteliPrefix, i: int, r: int, r_next: int, ji: bool
-) -> tuple[int, str] | None:
-    """First violated rule for the transition (r at level i) -> (r_next at
-    level i+1) across matrix i, or None when admissible.  Includes a
-    one-matrix lookahead on r_next so a choice that the next matrix already
-    forbids is rejected here."""
-    mat = prefix.matrices[i]
-    if not r <= r_next <= prefix.width(i + 1):
-        return 0, "stable count must be non-decreasing and at most the width"
-    fail = _top_failure(prefix, i, r)
-    if fail:
-        return fail
-    fail = _a22_failure(mat, r, r_next)
-    if fail:
-        return fail
-    if ji:
-        fail = _positivity_failure(mat, r, r_next)
-        if fail:
-            return fail
-    if i + 1 < len(prefix.matrices):
-        return _top_failure(prefix, i + 1, r_next)
-    return None
-
-
-def _matrix_bounds(prefix: BratteliPrefix, i: int) -> tuple[int, int | None, int]:
-    """(t, need, z) of matrix i, as defined in the module docstring."""
-    mat = prefix.matrices[i]
-    rows = mat.entries
-    u_src = prefix.levels[i].entries
-    u_dst = prefix.levels[i + 1].entries
-    t = 0
-    while t < min(mat.rows, mat.cols):
-        row = rows[t]
-        if row[t] != 1 or any(row[:t]) or any(row[t + 1 :]) or u_dst[t] != u_src[t]:
-            break
-        t += 1
+    m = min(len(rows), len(u_src))
+    t_row = next(
+        (j for j in range(m) if rows[j][j] != 1 or any(rows[j][:j]) or any(rows[j][j + 1 :])),
+        m,
+    )
+    t_size = next((j for j in range(m) if u_dst[j] != u_src[j]), m)
+    t = min(t_row, t_size)
     need: int | None = t
-    for k in range(t, mat.cols):
-        first = next((j for j in range(t, mat.rows) if rows[j][k]), None)
+    for k in range(t, len(u_src)):
+        first = next((j for j in range(t, len(rows)) if rows[j][k]), None)
         if first is None:
             need = None
             break
         need = max(need, first + 1)
-    z = next((j + 1 for j in range(mat.rows - 1, -1, -1) if 0 in rows[j]), 0)
-    return t, need, z
+    z = next((j + 1 for j in range(len(rows) - 1, -1, -1) if 0 in rows[j]), 0)
+    return t_row, t_size, need, z
 
 
 def _strict_search(prefix: BratteliPrefix, ji: bool):
-    """Returns (r_sequence, None) on success, else (level, candidate_pairs).
+    """Returns (r_sequence, None) on success, else (level, reason).
 
     Matrix i admits exactly the transitions with r in [low, t_i] (low is
     max(1, z_i) under JI, else 1) and r_next in [need_i, cap_i], cap_i being
     the lookahead bound t_{i+1}.  The two ranges are independent and
-    need_i >= t_i,
-    so a sequence exists iff every matrix admits some transition, and the
-    maximal interior counts are then the t_i themselves."""
+    need_i >= t_i, so a sequence exists iff every matrix admits some
+    transition, and the maximal interior counts are then the t_i
+    themselves.  The first matrix admitting none is where the forward reach
+    dies, whatever stable counts were chosen earlier."""
     n_mats = len(prefix.matrices)
     bounds = [_matrix_bounds(prefix, i) for i in range(n_mats)]
-    top = [t for t, _, _ in bounds]
+    top = [min(t_row, t_size) for t_row, t_size, _, _ in bounds]
     cap = top[1:] + [prefix.width(n_mats)]
-    # Forward reach at level i: every r in [lo, hi] is reachable.
-    lo, hi = 1, prefix.width(0)
-    for i, (t, need, z) in enumerate(bounds):
-        low = max(1, z) if ji else 1
-        if low > t or need is None or need > cap[i]:
-            # The first matrix admitting no transition is where the reach
-            # dies, whatever stable counts were chosen earlier.
-            pairs = [
-                (r, r_next, _edge_failure(prefix, i, r, r_next, ji))
-                for r in range(lo, hi + 1)
-                for r_next in range(r, prefix.width(i + 1) + 1)
-            ]
-            return i, pairs
-        lo, hi = need, cap[i]
-    # Interior levels carry the maximal certified stable count; the final
-    # level is unconstrained from below, so take the minimal continuation
-    # there (strictly increasing when possible) rather than an unevidenced
-    # jump to full width.
-    r = top[-1]
-    return tuple(top) + (lo if lo > r else min(r + 1, hi),), None
+    rfd_ok = [
+        t >= 1 and need is not None and need <= c
+        for t, (_, _, need, _), c in zip(top, bounds, cap)
+    ]
+    rfd_seq = None
+    if all(rfd_ok):
+        # Interior levels carry the maximal certified stable count; the
+        # final level is unconstrained from below, so take the minimal
+        # continuation there (strictly increasing when possible) rather
+        # than an unevidenced jump to full width.
+        need, r = bounds[-1][2], top[-1]
+        rfd_seq = tuple(top) + (need if need > r else min(r + 1, cap[-1]),)
+    for i in range(n_mats):
+        if not rfd_ok[i] or (ji and bounds[i][3] > top[i]):
+            return i, _failure_reason(prefix, bounds, i, ji, rfd_seq)
+    return rfd_seq, None
 
 
-def _pick_reason(prefix, level, pairs, ji: bool) -> str:
-    """Deterministic, most-informative reason among the failing transitions."""
-    best = None
-    rfd_edge = None
-    if ji:
-        r_seq, failed = _strict_search(prefix, False)
-        if failed is None:
-            rfd_edge = (r_seq[level], r_seq[level + 1])
-    for r, r_next, fail in pairs:
-        if fail is None:  # pragma: no cover - only failing pairs are passed
+def _top_break(t_row: int, t_size: int, a: int, b: int) -> tuple[int, int] | None:
+    """(code, s): the top rules of a matrix with bounds t_row, t_size broken
+    at the smallest stable count s in [a, b] giving the largest code.  A
+    changed size (code 2) is reported for s in (t_size, t_row], a
+    non-identity row (code 1) for s > t_row; None when [a, b] breaks
+    neither."""
+    s = max(a, t_size + 1)
+    if t_size < t_row and s <= min(b, t_row):
+        return 2, s
+    s = max(a, t_row + 1)
+    return (1, s) if s <= b else None
+
+
+def _zero_detail(rows, r: int, r_next: int) -> str:
+    """The first zero, in row-major order, of the rows >= r, named by its
+    block under the split (r, r_next)."""
+    j = next(j for j in range(r, len(rows)) if 0 in rows[j])
+    k = rows[j].index(0)
+    block = f"A^({2 if j < r_next else 3},{1 if k < r else 2})"
+    return f"zero entry in block {block} at row {j}, column {k}"
+
+
+def _failure_reason(prefix: BratteliPrefix, bounds, i: int, ji: bool, rfd_seq) -> str:
+    """Wording of failing matrix i, read from the bounds.
+
+    Every transition (r -> r_next) out of the forward reach fails; the
+    reason is the first rule broken (top rules, A22, positivity under JI,
+    the next matrix's top rules) by the transition of largest
+    (code, r, -r_next).  For a fixed r the rule broken depends only on
+    where r_next lies against need_i and t_{i+1}, so the best r_next for
+    each r is read off the bounds.  Under JI, when the RFD rules hold at
+    every matrix, the reason is the positivity failure on the edge of the
+    RFD witness."""
+    rows = prefix.matrices[i].entries
+    if ji and rfd_seq is not None:
+        r, r_next = rfd_seq[i], rfd_seq[i + 1]
+        return f"{_RULE_NAMES[4]}: {_zero_detail(rows, r, r_next)} (matrix {i})"
+    t_row, t_size, need, z = bounds[i]
+    t = min(t_row, t_size)
+    w_next = prefix.width(i + 1)
+    lo, hi = (1, prefix.width(0)) if i == 0 else (bounds[i - 1][2], t)
+    cands = []
+    for r in range(lo, min(hi, w_next) + 1):
+        if r > t:
+            code, r_next = _top_break(t_row, t_size, r, r)
+        elif ji and r < z and need is not None and need <= w_next:
+            code, r_next = 4, need
+        elif r < len(rows[0]):
+            code, r_next = 3, r
+        # Else r = t_i = need_i = cols: matrix i admits every r_next and
+        # the next matrix's top rules decide.
+        elif i + 1 < len(bounds) and (hit := _top_break(*bounds[i + 1][:2], r, w_next)):
+            code, r_next = hit
+        else:
             continue
-        code, detail = fail
-        key = (code, r, -r_next)
-        if rfd_edge == (r, r_next) and code == 4:
-            return f"{_RULE_NAMES[code]}: {detail} (matrix {level})"
-        if best is None or key > best[0]:
-            best = (key, code, detail)
-    assert best is not None
-    return f"{_RULE_NAMES[best[1]]}: {best[2]} (matrix {level})"
+        cands.append((code, r, -r_next))
+    code, r, r_next = max(cands)
+    r_next = -r_next
+    if code == 4:
+        detail = _zero_detail(rows, r, r_next)
+    elif code == 3:
+        detail = f"column {r} has no edge into a new stable line"
+    else:
+        j = i if r > t else i + 1  # the matrix whose top rules break
+        u_src = prefix.levels[j].entries
+        u_dst = prefix.levels[j + 1].entries
+        row, size = bounds[j][:2]
+        if code == 1:
+            detail = f"row {row} of A_{j} is not the identity row e_{row}"
+        else:
+            detail = f"u_{j+1}({size}) = {u_dst[size]} != u_{j}({size}) = {u_src[size]}"
+    return f"{_RULE_NAMES[code]}: {detail} (matrix {i})"
 
 
 def _extract_blocks(
@@ -296,10 +288,7 @@ def _check(prefix: BratteliPrefix, ji: bool, mode: str) -> RfdResult:
                 permutations=None,
             )
             return RfdResult(True, ji, mode, witness=witness)
-        level, pairs = found, extra
-        return RfdResult(
-            False, ji, mode, level=level, reason=_pick_reason(prefix, level, pairs, ji)
-        )
+        return RfdResult(False, ji, mode, level=found, reason=extra)
 
     outcome = _perm_search(prefix, ji)
     if outcome is None:
@@ -496,9 +485,7 @@ def _perm_search(prefix: BratteliPrefix, ji: bool):
         return best
 
     best = None
-    m0 = prefix.width(0)
-    for mask in range((1 << m0) - 1, 0, -1):
-        stable0 = tuple(v for v in range(m0) if mask >> v & 1)
+    for stable0 in _initial_states(prefix):
         cand = best_suffix(0, stable0)
         if cand is None:
             continue
@@ -528,7 +515,7 @@ def _neg_stables(stables: tuple[tuple[int, ...], ...]):
 
 
 def _perm_deepest(prefix: BratteliPrefix, ji: bool) -> int:
-    states = {tuple(s) for s in _initial_states(prefix)}
+    states = set(_initial_states(prefix))
     for i in range(prefix.depth - 1):
         nxt = {t for s in states for t in _perm_transitions(prefix, i, s, ji)}
         if not nxt:

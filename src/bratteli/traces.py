@@ -25,13 +25,19 @@ def _unital_step(
     matrix: MultiplicityMatrix,
     u_src: DimensionVector | Sequence[int],
     u_dst: DimensionVector | Sequence[int],
+    n: int = 0,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The size vectors of one diagram step, checked to fit the matrix and
-    to be carried onto each other unitally."""
+    """The size vectors of the diagram step from level n to level n+1,
+    checked to fit the matrix, to be positive and to be carried onto each
+    other unitally."""
     src = tuple(u_src)
     dst = tuple(u_dst)
     if matrix.cols != len(src) or matrix.rows != len(dst):
         raise BratteliError("matrix shape does not match the size vectors")
+    for level, sizes in ((n, src), (n + 1, dst)):
+        if min(sizes) < 1:
+            j = next(j for j, e in enumerate(sizes) if e < 1)
+            raise BratteliError(f"nonpositive size at level {level}: u_{level}({j}) = {sizes[j]}")
     if matrix.apply(src) != dst:
         raise BratteliError("non-unital step: A u_src != u_dst")
     return src, dst
@@ -100,7 +106,7 @@ def push_point(prefix: BratteliPrefix, point: SimplexPoint, src_level: int, dst_
     nums = [c.numerator * (den // c.denominator) for c in point]
     for n in range(src_level - 1, dst_level - 1, -1):
         matrix = prefix.matrices[n]
-        src, dst = _unital_step(matrix, prefix.levels[n], prefix.levels[n + 1])
+        src, dst = _unital_step(matrix, prefix.levels[n], prefix.levels[n + 1], n)
         scale = lcm(*dst)
         weighted = [x * (scale // l) for x, l in zip(nums, dst)]
         nums = [k * sum(map(mul, column, weighted)) for k, column in zip(src, zip(*matrix.entries))]

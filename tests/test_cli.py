@@ -219,6 +219,19 @@ class TestMoreVerbs:
         assert code == 0
         assert out.strip() == "(1/4,1/4,2/4)"
 
+    def test_traces_push_zero_size_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(
+            '{"format":"general","unital":true,"u1":[0,1],"matrices":[[[1,0],[0,1]]]}'
+        )
+        code, out, err = run_capture(
+            capsys,
+            ["traces", "push", str(path), "--point", "1/2,1/2", "--from-level", "1", "--to-level", "0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "bratteli: nonpositive size at level 0: u_0(0) = 0"
+
     def test_traces_label_family(self, capsys, ex43_file):
         family = "1;1/2,1/2;1/4,1/4,2/4;1/8,1/8,2/8,4/8"
         code, out, _ = run_capture(

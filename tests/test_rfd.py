@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from bratteli import (
     validate_witness,
 )
 
-from conftest import all_ones_spec
+from conftest import all_ones_spec, brute_strict, reference_reason
 
 
 def zeroed_a22_variant(depth: int, at: int) -> BratteliPrefix:
@@ -176,54 +178,6 @@ class TestPermutationMode:
         assert validate_witness(scrambled, result.witness, ji=True)
 
 
-# --- brute-force oracle for the strict search -------------------------------
-
-
-def _top_rules(prefix: BratteliPrefix, i: int, r: int) -> bool:
-    """Rows 0..r-1 of A_i are the identity rows and those sizes repeat."""
-    rows = prefix.matrices[i].entries
-    m = len(rows[0])
-    u_src, u_dst = prefix.levels[i].entries, prefix.levels[i + 1].entries
-    return r <= len(rows) and all(
-        list(rows[j]) == [1 if k == j else 0 for k in range(m)] and u_dst[j] == u_src[j]
-        for j in range(r)
-    )
-
-
-def _transition_ok(prefix: BratteliPrefix, i: int, r: int, r_next: int, ji: bool) -> bool:
-    """The module docstring's rules for (r at level i) -> (r_next at level
-    i+1), plus the top rules of the next matrix at r_next (the lookahead)."""
-    rows = prefix.matrices[i].entries
-    m = len(rows[0])
-    if not (1 <= r <= m and r <= r_next <= len(rows)) or not _top_rules(prefix, i, r):
-        return False
-    if any(all(rows[j][k] == 0 for j in range(r, r_next)) for k in range(r, m)):
-        return False  # a zero column in A22
-    if ji and any(rows[j][k] == 0 for j in range(r, len(rows)) for k in range(m)):
-        return False  # a zero entry in A21, A22, A31 or A32
-    return i + 1 == len(prefix.matrices) or _top_rules(prefix, i + 1, r_next)
-
-
-def brute_strict(prefix: BratteliPrefix, ji: bool):
-    """("fail", level) or ("ok", r, kseq), by extending every non-decreasing
-    r-sequence one level at a time."""
-    partial = [(r,) for r in range(1, prefix.width(0) + 1)]
-    for i in range(prefix.depth - 1):
-        partial = [
-            seq + (r_next,)
-            for seq in partial
-            for r_next in range(seq[-1], prefix.width(i + 1) + 1)
-            if _transition_ok(prefix, i, seq[-1], r_next, ji)
-        ]
-        if not partial:
-            return ("fail", i)
-    interior = max(seq[:-1] for seq in partial)
-    finals = [seq[-1] for seq in partial if seq[:-1] == interior]
-    strict = [f for f in finals if f > interior[-1]]
-    r = interior + (min(strict) if strict else min(finals),)
-    return ("ok", r, prefix.levels[-1].entries[: r[-1]])
-
-
 @st.composite
 def general_prefixes(draw):
     """Valid general-shape prefixes, depth 2-6 and widths 1-4, biased
@@ -256,33 +210,83 @@ def general_prefixes(draw):
     return BratteliPrefix(levels, mats, unital=unital)
 
 
+def triangular_with_zeros(rng: random.Random) -> BratteliPrefix:
+    """A triangular embedding of depth 1-14 whose multiplicity vectors hold
+    zeros, the shape of the benchmark's `zeros` family."""
+    depth = rng.randrange(1, 15)
+    p_zero = rng.choice([0.1, 0.3, 0.5])
+    mvectors = []
+    for n in range(depth):
+        m = [0 if rng.random() < p_zero else rng.randrange(1, 3) for _ in range(n + 1)]
+        if not any(m):
+            m[rng.randrange(n + 1)] = 1
+        mvectors.append(tuple(m))
+    return embed_triangular(TriangularSpec(rng.randrange(1, 3), mvectors), depth)
+
+
+def shift_after_identity(width: int) -> BratteliPrefix:
+    """Three levels of width `width`: an identity matrix, then a cyclic
+    shift, non-unital.  The strict check fails at matrix 0 with every
+    stable count 1..width in reach."""
+    identity = [[1 if k == j else 0 for k in range(width)] for j in range(width)]
+    shift = [[1 if k == (j + 1) % width else 0 for k in range(width)] for j in range(width)]
+    return BratteliPrefix([[1] * width] * 3, [identity, shift], unital=False)
+
+
 class TestStrictAgainstBruteForce:
-    @settings(max_examples=300, deadline=None)
-    @given(general_prefixes(), st.booleans())
-    def test_matches_brute_force(self, prefix, ji):
-        assert prefix.validate().ok
+    def check_against_oracles(self, prefix, ji):
         result = (check_rfd_ji if ji else check_rfd)(prefix)
         expected = brute_strict(prefix, ji)
         if expected[0] == "fail":
             assert not result.consistent
             assert result.level == expected[1]
+            assert result.reason == reference_reason(prefix, ji)
         else:
             assert result.consistent
             assert (result.witness.r, result.witness.kseq) == expected[1:]
             assert validate_witness(prefix, result.witness, ji=ji)
 
-    @pytest.mark.parametrize("checker", [check_rfd, check_rfd_ji])
-    def test_consistent_prefix_words_no_transition(self, checker, monkeypatch):
-        # The per-rule wording runs only for a failing level; a consistent
-        # prefix never reaches it, however deep.
+    @settings(max_examples=300, deadline=None)
+    @given(general_prefixes(), st.booleans())
+    def test_matches_brute_force(self, prefix, ji):
+        assert prefix.validate().ok
+        self.check_against_oracles(prefix, ji)
+
+    def test_triangular_zeros_match_brute_force(self):
+        rng = random.Random(20171)
+        for _ in range(150):
+            prefix = triangular_with_zeros(rng)
+            for ji in (False, True):
+                self.check_against_oracles(prefix, ji)
+
+    @pytest.mark.parametrize(
+        "checker, reason",
+        [
+            (
+                check_rfd,
+                "zero column in A^(2,2): column 59 has no edge into a new stable line"
+                " (matrix 0)",
+            ),
+            (
+                check_rfd_ji,
+                "zero entry in positivity block: zero entry in block A^(2,1) at row 59,"
+                " column 0 (matrix 0)",
+            ),
+        ],
+        ids=["check_rfd", "check_rfd_ji"],
+    )
+    def test_failing_level_scans_each_matrix_once(self, checker, reason, monkeypatch):
+        # Every stable count 1..60 is in reach of the failing matrix; its
+        # reason is read from the bounds, with no second search under JI.
         calls = []
-        original = rfd._edge_failure
+        original = rfd._matrix_bounds
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(prefix, i):
+            calls.append(i)
+            return original(prefix, i)
 
-        monkeypatch.setattr(rfd, "_edge_failure", counting)
-        result = checker(embed_triangular(all_ones_spec(29), 29))
-        assert result.consistent and result.witness.r == tuple(range(1, 31))
-        assert calls == []
+        monkeypatch.setattr(rfd, "_matrix_bounds", counting)
+        result = checker(shift_after_identity(60))
+        assert not result.consistent and result.level == 0
+        assert result.reason == reason
+        assert sorted(calls) == [0, 1]
