@@ -36,16 +36,33 @@ sets are therefore intervals, the forward reach after matrix i is
 one scan of each matrix.  The reason for a failing level is read from the
 same bounds (t_i split into its row and size parts), in O(w^2) at that
 level only.
+
+The permutation mode is a greatest fixpoint.  Call row w of matrix i a unit
+row of column v when it is e_v and u_{i+1}(w) = u_i(v); unit rows of
+different columns are different rows, and a unit row is zero on every other
+column, so it never helps the A22 rule.  With X_{L-1} the whole last level
+and X_i the columns with a unit row in X_{i+1} (one backward pass), every
+admissible stable set at level i lies in X_i, and X is admissible whenever
+anything is; so the interior stable sets of the witness are the X_i
+themselves, which is the lexicographically largest r.  Each slot continues
+to its smallest unit row in X_{i+1} and the rest of X_{i+1} follows in
+ascending order.  The interior costs O(L * w^2).  Only the last level
+searches: its new lines are the smallest set of rows covering the loose
+columns (non-empty when possible, then fewest, then lexicographically
+smallest), tried by size within the named budget `_COVER_BUDGET`; the
+search runs once, on a consistent prefix only, because "all free rows
+cover" decides feasibility.  A failing level is the last matrix of the
+shortest truncation whose X fails, found by bisection on the depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
-from .diagram import BratteliPrefix, MultiplicityMatrix
-from .errors import InsufficientPrefixError
+from .diagram import BratteliPrefix
+from .errors import BratteliError, InsufficientPrefixError
 
 _RULE_NAMES = {
     1: "identity block mismatch",
@@ -290,10 +307,10 @@ def _check(prefix: BratteliPrefix, ji: bool, mode: str) -> RfdResult:
             return RfdResult(True, ji, mode, witness=witness)
         return RfdResult(False, ji, mode, level=found, reason=extra)
 
-    outcome = _perm_search(prefix, ji)
-    if outcome is None:
-        # Depth of the longest admissible partial assignment localizes it.
-        deepest = _perm_deepest(prefix, ji)
+    units = [_unit_rows(prefix, i) for i in range(len(prefix.matrices))]
+    path = _perm_path(prefix, units, prefix.depth, ji)
+    if path is None:
+        deepest = _perm_deepest(prefix, units, ji)
         return RfdResult(
             False,
             ji,
@@ -301,13 +318,15 @@ def _check(prefix: BratteliPrefix, ji: bool, mode: str) -> RfdResult:
             level=deepest,
             reason=f"no admissible stable structure under any vertex reordering (matrix {deepest})",
         )
-    r_seq, stables = outcome
+    stables, loose, rest = path
+    stables[-1] += _last_cover(prefix.matrices[-1].entries, loose, rest)
+    r_seq = tuple(len(s) for s in stables)
     perms = []
     for i, stable in enumerate(stables):
-        rest = [v for v in range(prefix.width(i)) if v not in stable]
-        perms.append(tuple(stable) + tuple(rest))
+        chosen = set(stable)
+        perms.append(stable + tuple(v for v in range(prefix.width(i)) if v not in chosen))
     witness = RfdWitness(
-        r=tuple(r_seq),
+        r=r_seq,
         kseq=_kseq(prefix, r_seq[-1], perms[-1]),
         blocks=_extract_blocks(prefix, r_seq, perms),
         permutations=tuple(perms),
@@ -319,7 +338,8 @@ def check_rfd(prefix: BratteliPrefix, mode: str = "strict") -> RfdResult:
     """Decide prefix-consistency with the RFD block structure.
 
     In strict mode the given vertex order must already exhibit the block
-    form; in "perm" mode per-level reorderings are searched.  On success the
+    form; in "perm" mode it holds after some per-level reordering, found by
+    the greatest-fixpoint pass of the module docstring.  On success the
     witness certifies the most stable lines at every interior level and
     continues minimally (strictly increasing when possible) at the final
     level, which no later matrix constrains.
@@ -345,13 +365,15 @@ def check_all_positive(prefix: BratteliPrefix) -> bool:
 
 
 def validate_witness(prefix: BratteliPrefix, witness: RfdWitness, ji: bool = False) -> bool:
-    """Soundness check: reassembling the blocks reproduces each matrix and
-    every stated constraint holds.  Used by tests and by consumers that
-    receive a witness from elsewhere."""
-    r = witness.r
-    if len(r) != prefix.depth:
+    """Soundness check: every block is the slice of its reordered matrix
+    that `r` names, the top rows are identity rows, every stated constraint
+    holds and `kseq` lists the sizes of the last level's stable slots.  Used
+    by tests and by consumers that receive a witness from elsewhere."""
+    r, perms = witness.r, witness.permutations
+    if len(r) != prefix.depth or len(witness.blocks) != len(prefix.matrices):
         return False
-    perms = witness.permutations
+    if perms is not None and len(perms) != prefix.depth:
+        return False
     for i, mat in enumerate(prefix.matrices):
         p_src = list(perms[i]) if perms else list(range(mat.cols))
         p_dst = list(perms[i + 1]) if perms else list(range(mat.rows))
@@ -362,14 +384,14 @@ def validate_witness(prefix: BratteliPrefix, witness: RfdWitness, ji: bool = Fal
         if not 1 <= ri <= mat.cols or not ri <= rn <= mat.rows:
             return False
         blk = witness.blocks[i]
-        rebuilt = []
-        for j in range(ri):
-            rebuilt.append([1 if k == j else 0 for k in range(mat.cols)])
-        for a, row21 in enumerate(blk.a21):
-            rebuilt.append(list(row21) + list(blk.a22[a]))
-        for a, row31 in enumerate(blk.a31):
-            rebuilt.append(list(row31) + list(blk.a32[a]))
-        if rebuilt != arranged:
+        if (blk.r_src, blk.r_dst) != (ri, rn):
+            return False
+        if arranged[:ri] != [[1 if k == j else 0 for k in range(mat.cols)] for j in range(ri)]:
+            return False
+        m = mat.cols
+        spans = ((ri, rn, 0, ri), (ri, rn, ri, m), (rn, None, 0, ri), (rn, None, ri, m))
+        cuts = [[row[c0:c1] for row in arranged[r0:r1]] for r0, r1, c0, c1 in spans]
+        if cuts != [[list(row) for row in b] for b in (blk.a21, blk.a22, blk.a31, blk.a32)]:
             return False
         u_src = [prefix.levels[i].entries[b] for b in p_src]
         u_dst = [prefix.levels[i + 1].entries[a] for a in p_dst]
@@ -378,153 +400,104 @@ def validate_witness(prefix: BratteliPrefix, witness: RfdWitness, ji: bool = Fal
         for k in range(ri, mat.cols):
             if all(arranged[j][k] == 0 for j in range(ri, rn)):
                 return False
-        if ji and any(
-            e == 0 for rows in (blk.a21, blk.a22, blk.a31, blk.a32) for row in rows for e in row
-        ):
+        if ji and any(0 in row for row in arranged[ri:]):
             return False
-    return True
+    last = perms[-1] if perms else range(prefix.width(prefix.depth - 1))
+    sizes = prefix.levels[-1].entries
+    return tuple(witness.kseq) == tuple(sizes[v] for v in last[: r[-1]])
 
 
-# --- up-to-permutation search -------------------------------------------------
+# --- up-to-permutation check --------------------------------------------------
 
-_PERM_WIDTH_CAP = 12
+# Candidate row sets the last-level cover search may try; 2^12 already
+# covers every last level of width at most 12.
+_COVER_BUDGET = 1 << 20
 
 
-def _continuations(prefix: BratteliPrefix, i: int, stable: tuple[int, ...]):
-    """Per stable slot, the vertices at level i+1 able to continue the line:
-    exactly one incoming edge, of multiplicity 1, from the slot's vertex,
-    with the same matrix size."""
-    mat = prefix.matrices[i]
+def _unit_rows(prefix: BratteliPrefix, i: int) -> list[list[int]]:
+    """Per column v of matrix i, its unit rows in ascending order: the rows
+    equal to e_v whose size repeats u_i(v)."""
     u_src = prefix.levels[i].entries
     u_dst = prefix.levels[i + 1].entries
-    cands = []
-    for v in stable:
-        opts = [
-            w
-            for w in range(mat.rows)
-            if u_dst[w] == u_src[v]
-            and mat.entry(w, v) == 1
-            and all(mat.entry(w, b) == 0 for b in range(mat.cols) if b != v)
-        ]
-        cands.append(opts)
-    return cands
+    units: list[list[int]] = [[] for _ in u_src]
+    for w, row in enumerate(prefix.matrices[i].entries):
+        if sum(row) == 1:
+            v = row.index(1)
+            if u_dst[w] == u_src[v]:
+                units[v].append(w)
+    return units
 
 
-def _injective_assignments(cands: list[list[int]]):
-    used: set[int] = set()
-    choice: list[int] = []
+def _perm_path(prefix: BratteliPrefix, units, depth: int, ji: bool):
+    """The witness slots of the truncation to `depth` levels, the last level
+    holding only its continuations, with the loose columns and the free rows
+    of the last matrix; None when no reordering admits the block structure.
 
-    def rec(t: int):
-        if t == len(cands):
-            yield tuple(choice)
-            return
-        for w in cands[t]:
-            if w not in used:
-                used.add(w)
-                choice.append(w)
-                yield from rec(t + 1)
-                choice.pop()
-                used.remove(w)
+    X_{depth-1} is the whole level and X_i the columns with a unit row in
+    X_{i+1}, one backward pass.  Every admissible stable set lies in X_i,
+    and X itself is admissible whenever anything is, so only X is checked
+    forward: each slot continues to its smallest unit row in X_{i+1}, under
+    JI no other row may hold a zero, and the other rows of X_{i+1} (at the
+    last level, all other rows) must cover every column outside X_i."""
+    last = depth - 1
+    keep = [set(range(prefix.width(last)))]
+    for i in range(last - 1, -1, -1):
+        keep.append({v for v, ws in enumerate(units[i]) if any(w in keep[-1] for w in ws)})
+    keep.reverse()
+    slots = tuple(sorted(keep[0]))
+    if not slots:
+        return None
+    stables = []
+    for i in range(last):
+        rows = prefix.matrices[i].entries
+        stables.append(slots)
+        cont = tuple(next(w for w in units[i][v] if w in keep[i + 1]) for v in slots)
+        taken = set(cont)
+        rest = [w for w in range(len(rows)) if w not in taken]
+        if ji and any(0 in rows[w] for w in rest):
+            return None
+        free = rest if i == last - 1 else [w for w in rest if w in keep[i + 1]]
+        loose = [v for v in range(len(rows[0])) if v not in keep[i]]
+        if not all(any(rows[w][v] for w in free) for v in loose):
+            return None
+        slots = cont + tuple(free)
+    stables.append(cont)
+    return stables, loose, rest
 
-    yield from rec(0)
+
+def _last_cover(rows, loose: list[int], rest: list[int]) -> tuple[int, ...]:
+    """The new lines at the last level: the rows of `rest` covering every
+    loose column, non-empty when possible, then fewest, then
+    lexicographically smallest, tried by size within `_COVER_BUDGET`.
+    `rest` as a whole covers, so the search always ends."""
+    masks = [sum(1 << t for t, v in enumerate(loose) if rows[w][v]) for w in rest]
+    full = (1 << len(loose)) - 1
+    tried = 0
+    for size in range(1, len(rest) + 1):
+        for combo in combinations(range(len(rest)), size):
+            tried += 1
+            if tried > _COVER_BUDGET:
+                raise BratteliError(
+                    "permutation mode: the last-level cover search exceeded "
+                    f"_COVER_BUDGET = {_COVER_BUDGET} row sets"
+                )
+            hit = 0
+            for t in combo:
+                hit |= masks[t]
+            if hit == full:
+                return tuple(rest[t] for t in combo)
+    return ()
 
 
-def _perm_transitions(prefix: BratteliPrefix, i: int, stable: tuple[int, ...], ji: bool):
-    """All admissible stable tuples at level i+1 given `stable` at level i."""
-    mat = prefix.matrices[i]
-    m_src = mat.cols
-    loose_src = [v for v in range(m_src) if v not in stable]
-    for cont in _injective_assignments(_continuations(prefix, i, stable)):
-        rest = [w for w in range(mat.rows) if w not in cont]
-        if ji and any(mat.entry(w, b) == 0 for w in rest for b in range(m_src)):
-            continue  # a zero entry lands in a positivity block either way
-        # Every source vertex outside the stable set must feed a new stable
-        # line (the A22 column condition).
-        if rest:
-            subsets = _covering_subsets(mat, loose_src, rest)
-        elif loose_src:
-            subsets = []
+def _perm_deepest(prefix: BratteliPrefix, units, ji: bool) -> int:
+    """The last matrix of the shortest truncation with no stable structure.
+    A structure on a truncation restricts to every shorter one, so the
+    depth is found by bisection."""
+    lo, hi = 2, prefix.depth
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perm_path(prefix, units, mid, ji) is None:
+            hi = mid
         else:
-            subsets = [frozenset()]
-        for newly in subsets:
-            yield cont + tuple(sorted(newly))
-
-
-def _covering_subsets(mat: MultiplicityMatrix, loose_src: list[int], rest: list[int]):
-    """Subsets W of `rest` such that every loose source column has a nonzero
-    entry in some row of W (the A22 column condition), largest first."""
-    out = []
-    n = len(rest)
-    for mask in range((1 << n) - 1, -1, -1):
-        W = [rest[t] for t in range(n) if mask >> t & 1]
-        if all(any(mat.entry(w, v) for w in W) for v in loose_src):
-            out.append(frozenset(W))
-    return out
-
-
-def _perm_search(prefix: BratteliPrefix, ji: bool):
-    n_levels = prefix.depth
-    if any(prefix.width(i) > _PERM_WIDTH_CAP for i in range(n_levels)):
-        raise ValueError(
-            f"permutation mode is capped at width {_PERM_WIDTH_CAP}; use strict mode"
-        )
-
-    @lru_cache(maxsize=None)
-    def best_suffix(i: int, stable: tuple[int, ...]):
-        """Best (r-suffix, stable-suffix) from level i, or None."""
-        if i == n_levels - 1:
-            return (len(stable),), (stable,)
-        best = None
-        for nxt in _perm_transitions(prefix, i, stable, ji):
-            sub = best_suffix(i + 1, nxt)
-            if sub is None:
-                continue
-            cand = ((len(stable),) + sub[0], (stable,) + sub[1])
-            if best is None or _suffix_key(cand) > _suffix_key(best):
-                best = cand
-        return best
-
-    best = None
-    for stable0 in _initial_states(prefix):
-        cand = best_suffix(0, stable0)
-        if cand is None:
-            continue
-        if best is None or _suffix_key(cand) > _suffix_key(best):
-            best = cand
-    return best
-
-
-def _suffix_key(cand):
-    """Witness preference: maximal stable counts at interior levels, minimal
-    continuation (strict when possible) at the unconstrained final level,
-    then lexicographically smallest stable tuples."""
-    r_suffix, stables = cand
-    interior = r_suffix[:-1]
-    strict = 0
-    boundary = 0
-    if len(r_suffix) >= 2:
-        strict = 1 if r_suffix[-1] > r_suffix[-2] else 0
-        boundary = -r_suffix[-1]
-    return (interior, strict, boundary, _neg_stables(stables))
-
-
-def _neg_stables(stables: tuple[tuple[int, ...], ...]):
-    # Orders candidate witnesses so that "greater" means lexicographically
-    # smaller stable tuples (canonical representative among equal r).
-    return tuple(tuple(-v for v in s) for s in stables)
-
-
-def _perm_deepest(prefix: BratteliPrefix, ji: bool) -> int:
-    states = set(_initial_states(prefix))
-    for i in range(prefix.depth - 1):
-        nxt = {t for s in states for t in _perm_transitions(prefix, i, s, ji)}
-        if not nxt:
-            return i
-        states = nxt
-    return prefix.depth - 1
-
-
-def _initial_states(prefix: BratteliPrefix) -> Iterable[tuple[int, ...]]:
-    m0 = prefix.width(0)
-    for mask in range(1, 1 << m0):
-        yield tuple(v for v in range(m0) if mask >> v & 1)
+            lo = mid + 1
+    return lo - 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from bratteli import (
     profile_is_valid,
 )
 from bratteli.fixtures import fixture_diagram
+from bratteli.rfd import RfdBlocks, RfdResult, RfdWitness
 
 
 def all_ones_spec(depth: int) -> TriangularSpec:
@@ -283,3 +285,179 @@ def reference_reason(prefix: BratteliPrefix, ji: bool) -> str:
         for r_next in range(r, prefix.width(level + 1) + 1)
     ]
     return _pick_reason(level, pairs, rfd_edge)
+
+
+# --- exhaustive oracle for the permutation-mode RFD check ---------------------
+
+
+def _continuations(prefix: BratteliPrefix, i: int, stable: tuple[int, ...]):
+    """Per stable slot, the vertices at level i+1 able to continue the line:
+    exactly one incoming edge, of multiplicity 1, from the slot's vertex,
+    with the same matrix size."""
+    mat = prefix.matrices[i]
+    u_src = prefix.levels[i].entries
+    u_dst = prefix.levels[i + 1].entries
+    cands = []
+    for v in stable:
+        opts = [
+            w
+            for w in range(mat.rows)
+            if u_dst[w] == u_src[v]
+            and mat.entry(w, v) == 1
+            and all(mat.entry(w, b) == 0 for b in range(mat.cols) if b != v)
+        ]
+        cands.append(opts)
+    return cands
+
+
+def _injective_assignments(cands: list[list[int]]):
+    used: set[int] = set()
+    choice: list[int] = []
+
+    def rec(t: int):
+        if t == len(cands):
+            yield tuple(choice)
+            return
+        for w in cands[t]:
+            if w not in used:
+                used.add(w)
+                choice.append(w)
+                yield from rec(t + 1)
+                choice.pop()
+                used.remove(w)
+
+    yield from rec(0)
+
+
+def _perm_transitions(prefix: BratteliPrefix, i: int, stable: tuple[int, ...], ji: bool):
+    """All admissible stable tuples at level i+1 given `stable` at level i."""
+    mat = prefix.matrices[i]
+    m_src = mat.cols
+    loose_src = [v for v in range(m_src) if v not in stable]
+    for cont in _injective_assignments(_continuations(prefix, i, stable)):
+        rest = [w for w in range(mat.rows) if w not in cont]
+        if ji and any(mat.entry(w, b) == 0 for w in rest for b in range(m_src)):
+            continue  # a zero entry lands in a positivity block either way
+        # Every source vertex outside the stable set must feed a new stable
+        # line (the A22 column condition).
+        if rest:
+            subsets = _covering_subsets(mat, loose_src, rest)
+        elif loose_src:
+            subsets = []
+        else:
+            subsets = [frozenset()]
+        for newly in subsets:
+            yield cont + tuple(sorted(newly))
+
+
+def _covering_subsets(mat: MultiplicityMatrix, loose_src: list[int], rest: list[int]):
+    """Subsets W of `rest` such that every loose source column has a nonzero
+    entry in some row of W (the A22 column condition), largest first."""
+    out = []
+    n = len(rest)
+    for mask in range((1 << n) - 1, -1, -1):
+        W = [rest[t] for t in range(n) if mask >> t & 1]
+        if all(any(mat.entry(w, v) for w in W) for v in loose_src):
+            out.append(frozenset(W))
+    return out
+
+
+def _initial_states(prefix: BratteliPrefix):
+    m0 = prefix.width(0)
+    for mask in range(1, 1 << m0):
+        yield tuple(v for v in range(m0) if mask >> v & 1)
+
+
+def _suffix_key(cand):
+    """Witness preference: maximal stable counts at interior levels, minimal
+    continuation (strict when possible) at the unconstrained final level,
+    then lexicographically smallest stable tuples."""
+    r_suffix, stables = cand
+    interior = r_suffix[:-1]
+    strict = 0
+    boundary = 0
+    if len(r_suffix) >= 2:
+        strict = 1 if r_suffix[-1] > r_suffix[-2] else 0
+        boundary = -r_suffix[-1]
+    return (interior, strict, boundary, _neg_stables(stables))
+
+
+def _neg_stables(stables: tuple[tuple[int, ...], ...]):
+    # Orders candidate witnesses so that "greater" means lexicographically
+    # smaller stable tuples (canonical representative among equal r).
+    return tuple(tuple(-v for v in s) for s in stables)
+
+
+def reference_perm_search(prefix: BratteliPrefix, ji: bool):
+    """Oracle: (r, stable tuples) of the best admissible structure under any
+    vertex reordering, or None, by a memoised search over every start set,
+    injective continuation and covering subset.  Exponential in the width."""
+    n_levels = prefix.depth
+
+    @functools.lru_cache(maxsize=None)
+    def best_suffix(i: int, stable: tuple[int, ...]):
+        """Best (r-suffix, stable-suffix) from level i, or None."""
+        if i == n_levels - 1:
+            return (len(stable),), (stable,)
+        best = None
+        for nxt in _perm_transitions(prefix, i, stable, ji):
+            sub = best_suffix(i + 1, nxt)
+            if sub is None:
+                continue
+            cand = ((len(stable),) + sub[0], (stable,) + sub[1])
+            if best is None or _suffix_key(cand) > _suffix_key(best):
+                best = cand
+        return best
+
+    best = None
+    for stable0 in _initial_states(prefix):
+        cand = best_suffix(0, stable0)
+        if cand is None:
+            continue
+        if best is None or _suffix_key(cand) > _suffix_key(best):
+            best = cand
+    return best
+
+
+def reference_perm_deepest(prefix: BratteliPrefix, ji: bool) -> int:
+    """Oracle: the first matrix past which no admissible partial structure
+    reaches, by carrying every reachable stable tuple forward."""
+    states = set(_initial_states(prefix))
+    for i in range(prefix.depth - 1):
+        nxt = {t for s in states for t in _perm_transitions(prefix, i, s, ji)}
+        if not nxt:
+            return i
+        states = nxt
+    return prefix.depth - 1
+
+
+def reference_perm_check(prefix: BratteliPrefix, ji: bool) -> RfdResult:
+    """The `check_rfd(..., mode="perm")` result the oracles imply, with the
+    witness blocks sliced directly from the reordered matrices."""
+    found = reference_perm_search(prefix, ji)
+    if found is None:
+        level = reference_perm_deepest(prefix, ji)
+        reason = f"no admissible stable structure under any vertex reordering (matrix {level})"
+        return RfdResult(False, ji, "perm", level=level, reason=reason)
+    r, stables = found
+    perms = tuple(
+        stable + tuple(v for v in range(prefix.width(n)) if v not in stable)
+        for n, stable in enumerate(stables)
+    )
+    blocks = []
+    for i, mat in enumerate(prefix.matrices):
+        arranged = [tuple(mat.entry(a, b) for b in perms[i]) for a in perms[i + 1]]
+        ri, rn = r[i], r[i + 1]
+        blocks.append(
+            RfdBlocks(
+                r_src=ri,
+                r_dst=rn,
+                a21=tuple(row[:ri] for row in arranged[ri:rn]),
+                a22=tuple(row[ri:] for row in arranged[ri:rn]),
+                a31=tuple(row[:ri] for row in arranged[rn:]),
+                a32=tuple(row[ri:] for row in arranged[rn:]),
+            )
+        )
+    kseq = tuple(prefix.levels[-1][v] for v in perms[-1][: r[-1]])
+    witness = RfdWitness(r=r, kseq=kseq, blocks=tuple(blocks), permutations=perms)
+    return RfdResult(True, ji, "perm", witness=witness)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bratteli import rfd
 from bratteli import (
+    BratteliError,
     BratteliPrefix,
     InsufficientPrefixError,
     MultiplicityMatrix,
@@ -15,10 +18,13 @@ from bratteli import (
     check_rfd,
     check_rfd_ji,
     embed_triangular,
+    primitive_profiles,
     validate_witness,
 )
+from bratteli.cli import run
+from bratteli.formats import emit_diagram
 
-from conftest import all_ones_spec, brute_strict, reference_reason
+from conftest import all_ones_spec, brute_strict, reference_perm_check, reference_reason
 
 
 def zeroed_a22_variant(depth: int, at: int) -> BratteliPrefix:
@@ -158,24 +164,165 @@ class TestPermutationMode:
         assert not result.consistent
 
     def test_scrambled_triangular_embedding(self, ones12):
-        prefix = embed_triangular(ones12, 3)
-        # reverse every level's vertex order
-        perms = [list(range(prefix.width(n)))[::-1] for n in range(prefix.depth)]
-        levels = [
-            [prefix.levels[n][v] for v in perms[n]] for n in range(prefix.depth)
-        ]
-        mats = []
-        for n, mat in enumerate(prefix.matrices):
-            mats.append(
-                [[mat.entry(perms[n + 1][a], perms[n][b]) for b in range(mat.cols)]
-                 for a in range(mat.rows)]
-            )
-        scrambled = BratteliPrefix(levels, mats, unital=True)
+        scrambled = reversed_levels(embed_triangular(ones12, 3))
         assert not check_rfd(scrambled).consistent
         result = check_rfd_ji(scrambled, mode="perm")
         assert result.consistent
         assert result.witness.r == (1, 2, 3, 4)
         assert validate_witness(scrambled, result.witness, ji=True)
+
+
+def reversed_levels(prefix: BratteliPrefix) -> BratteliPrefix:
+    """The same diagram with every level's vertex order reversed."""
+    perms = [list(range(prefix.width(n)))[::-1] for n in range(prefix.depth)]
+    levels = [[prefix.levels[n][v] for v in perms[n]] for n in range(prefix.depth)]
+    mats = []
+    for n, mat in enumerate(prefix.matrices):
+        mats.append(
+            [[mat.entry(perms[n + 1][a], perms[n][b]) for b in range(mat.cols)]
+             for a in range(mat.rows)]
+        )
+    return BratteliPrefix(levels, mats, unital=prefix.unital)
+
+
+def two_loose_columns() -> BratteliPrefix:
+    """One stable column and two loose ones, each fed by its own row: the
+    last-level cover needs both rows, the third row set tried."""
+    return BratteliPrefix([[1, 1, 1], [1, 2, 2]], [[[1, 0, 0], [0, 2, 0], [0, 0, 2]]])
+
+
+def cli_check(capsys, tmp_path, prefix: BratteliPrefix, *flags: str):
+    path = tmp_path / "diagram.json"
+    path.write_text(emit_diagram(prefix))
+    code = run(["check-rfd", "--json", *flags, str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestPermAboveOldCap:
+    @pytest.mark.parametrize("width", [20, 40])
+    def test_all_ones_matches_strict(self, width):
+        prefix = embed_triangular(all_ones_spec(width - 1), width - 1)
+        assert prefix.width(prefix.depth - 1) == width
+        for checker in (check_rfd, check_rfd_ji):
+            perm = checker(prefix, mode="perm")
+            assert perm.consistent
+            assert perm.witness.r == checker(prefix).witness.r
+            assert validate_witness(prefix, perm.witness, ji=checker is check_rfd_ji)
+
+    @pytest.mark.parametrize("width", [20, 40])
+    def test_all_ones_through_cli(self, capsys, tmp_path, width):
+        prefix = embed_triangular(all_ones_spec(width - 1), width - 1)
+        code, out, _ = cli_check(capsys, tmp_path, prefix, "--mode", "perm")
+        assert code == 0
+        perm = json.loads(out)
+        code, out, _ = cli_check(capsys, tmp_path, prefix)
+        assert code == 0
+        strict = json.loads(out)
+        assert perm["consistent"] and perm["permutations"]
+        assert (perm["r"], perm["kseq"]) == (strict["r"], strict["kseq"])
+
+    def test_reversed_width_20_triangular_is_ji(self):
+        rng = random.Random(4020)
+        spec = TriangularSpec(1, [tuple(rng.randrange(1, 4) for _ in range(n + 1)) for n in range(19)])
+        scrambled = reversed_levels(embed_triangular(spec, 19))
+        assert scrambled.width(scrambled.depth - 1) == 20
+        result = check_rfd_ji(scrambled, mode="perm")
+        assert result.consistent
+        assert result.witness.r == tuple(range(1, 21))
+        assert validate_witness(scrambled, result.witness, ji=True)
+
+    def test_cover_budget_is_named_when_exhausted(self, capsys, tmp_path, monkeypatch):
+        prefix = two_loose_columns()
+        assert check_rfd(prefix, mode="perm").witness.r == (1, 3)
+        monkeypatch.setattr(rfd, "_COVER_BUDGET", 2)
+        with pytest.raises(BratteliError, match="_COVER_BUDGET = 2"):
+            check_rfd(prefix, mode="perm")
+        code, out, err = cli_check(capsys, tmp_path, prefix, "--mode", "perm")
+        assert code == 1 and not out
+        assert "_COVER_BUDGET" in err
+
+    @pytest.mark.parametrize("checker", [check_rfd, check_rfd_ji], ids=["rfd", "ji"])
+    @pytest.mark.parametrize(
+        "prefix, verdicts",
+        [
+            (embed_triangular(all_ones_spec(19), 19), (True, True)),
+            (reversed_levels(embed_triangular(all_ones_spec(9), 9)), (True, True)),
+            (two_loose_columns(), (True, False)),
+            (zeroed_a22_variant(9, at=3), (False, False)),
+        ],
+        ids=["ones-20", "reversed-10", "two-loose", "zeroed-a22"],
+    )
+    def test_last_cover_runs_once_on_consistent_only(self, checker, prefix, verdicts, monkeypatch):
+        seen = []
+        original = rfd._last_cover
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rfd, "_last_cover", counting)
+        result = checker(prefix, mode="perm")
+        assert result.consistent == verdicts[checker is check_rfd_ji]
+        assert len(seen) == (1 if result.consistent else 0)
+
+
+def forged(witness, **changes):
+    return dataclasses.replace(witness, **changes)
+
+
+def forged_block(witness, i, **changes):
+    blocks = list(witness.blocks)
+    blocks[i] = dataclasses.replace(blocks[i], **changes)
+    return forged(witness, blocks=tuple(blocks))
+
+
+class TestValidateWitness:
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda w: forged(w, kseq=(7,) * len(w.kseq)),
+            lambda w: forged(w, kseq=w.kseq[:-1]),
+            lambda w: forged(w, kseq=w.kseq + (1,)),
+            lambda w: forged(w, blocks=w.blocks[:-1]),
+            lambda w: forged(w, blocks=w.blocks + w.blocks[-1:]),
+            lambda w: forged(w, permutations=w.permutations[:-1]),
+            lambda w: forged(w, permutations=w.permutations + w.permutations[-1:]),
+            lambda w: forged_block(w, 2, r_src=w.r[2] + 1),
+            lambda w: forged_block(w, 2, r_dst=w.r[3] - 1),
+            lambda w: forged_block(w, 2, a22=w.blocks[2].a22 + ((1,),)),
+        ],
+        ids=[
+            "kseq-sevens",
+            "kseq-short",
+            "kseq-long",
+            "blocks-short",
+            "blocks-long",
+            "permutations-short",
+            "permutations-long",
+            "r_src",
+            "r_dst",
+            "a22-extra-row",
+        ],
+    )
+    def test_forged_ji_witness_is_rejected(self, ones12, forge):
+        prefix = embed_triangular(ones12, 5)
+        witness = check_rfd_ji(prefix, mode="perm").witness
+        assert validate_witness(prefix, witness, ji=True)
+        assert not validate_witness(prefix, forge(witness), ji=True)
+
+    def test_strict_witness_with_forged_kseq_is_rejected(self, ones12):
+        prefix = embed_triangular(ones12, 5)
+        witness = check_rfd_ji(prefix).witness
+        assert witness.permutations is None
+        assert not validate_witness(prefix, forged(witness, kseq=(7,) * len(witness.kseq)), ji=True)
+
+    def test_primitive_profiles_refuses_forged_kseq(self, ones12):
+        prefix = embed_triangular(ones12, 5)
+        witness = check_rfd_ji(prefix).witness
+        assert [p.k for p in primitive_profiles(prefix, witness)] == list(witness.kseq[:-1])
+        with pytest.raises(BratteliError, match="witness mismatch"):
+            primitive_profiles(prefix, forged(witness, kseq=(7,) * len(witness.kseq)))
 
 
 @st.composite
@@ -290,3 +437,56 @@ class TestStrictAgainstBruteForce:
         assert not result.consistent and result.level == 0
         assert result.reason == reason
         assert sorted(calls) == [0, 1]
+
+
+@st.composite
+def perm_prefixes(draw):
+    """Valid general-shape prefixes, depth 2-6 and widths 1-6, whose unit
+    rows e_v sit at random rows and columns, so that perm mode has to
+    reorder; in some matrices no column has two unit rows and the other
+    rows are positive, so that RFD-JI verdicts of both kinds occur."""
+    depth = draw(st.integers(2, 6))
+    widths = [draw(st.integers(1, 6))]
+    for _ in range(depth - 1):
+        widths.append(min(6, max(1, widths[-1] + draw(st.sampled_from([-1, 0, 1, 1, 2])))))
+    unital = draw(st.booleans())
+    levels = [draw(st.lists(st.integers(1, 3), min_size=widths[0], max_size=widths[0]))]
+    mats = []
+    for n in range(depth - 1):
+        n_rows, n_cols = widths[n + 1], widths[n]
+        low = draw(st.integers(0, 1))
+        share = draw(st.integers(1, 3))  # out of 4 rows, on average, are unit rows
+        # Either any column per unit row, or each column at most once.
+        pool = draw(st.none() | st.permutations(range(n_cols)))
+        rows = []
+        for _ in range(n_rows):
+            if draw(st.integers(0, 3)) < share and pool != []:
+                v = draw(st.integers(0, n_cols - 1)) if pool is None else pool.pop()
+                rows.append([1 if k == v else 0 for k in range(n_cols)])
+            else:
+                rows.append(draw(st.lists(st.integers(low, 2), min_size=n_cols, max_size=n_cols)))
+        for j in range(n_rows):
+            if not any(rows[j]):
+                rows[j][j % n_cols] = 1
+        for k in range(n_cols):
+            if not any(rows[j][k] for j in range(n_rows)):
+                rows[draw(st.integers(0, n_rows - 1))][k] = 1
+        mats.append(rows)
+        image = [sum(a * b for a, b in zip(row, levels[-1])) for row in rows]
+        if not unital:
+            extra = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n_rows, max_size=n_rows))
+            image = [a + b for a, b in zip(image, extra)]
+        levels.append(image)
+    return BratteliPrefix(levels, mats, unital=unital)
+
+
+class TestPermAgainstExhaustiveSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(perm_prefixes(), st.booleans())
+    def test_matches_exhaustive_search(self, prefix, ji):
+        assert prefix.validate().ok
+        result = (check_rfd_ji if ji else check_rfd)(prefix, mode="perm")
+        # verdict, level, reason, r, kseq, permutations and blocks at once
+        assert result == reference_perm_check(prefix, ji)
+        if result.consistent:
+            assert validate_witness(prefix, result.witness, ji=ji)
