@@ -439,9 +439,7 @@ def _cmd_synthesize(args) -> int:
         targets = TargetSequence.explicit(parse_targets(_read_text(args.targets)))
     else:
         raise BratteliError("need --stationary or --targets")
-    spec, cert = synthesize(
-        targets, args.levels, k0=args.k0, exact=args.exact, reduced=args.reduced
-    )
+    spec, cert = synthesize(targets, args.levels, k0=args.k0, exact=args.exact)
     cert_obj = {
         "levels": [
             {
@@ -612,7 +610,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--targets", default=None, help="targets JSON file")
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--reduced", action="store_true")
+    p.add_argument(
+        "--reduced",
+        action="store_true",
+        help="no effect: synthesis always uses the minimal scale",
+    )
     p.add_argument("--k0", type=int, default=1)
     p.add_argument("--certificate", default=None, help="write certificate JSON here")
     p.add_argument("--json", action="store_true")

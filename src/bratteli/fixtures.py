@@ -8,8 +8,10 @@ Names are part of the CLI contract:
   ex57A-right the same diagram reordered into block form
   ex57B       identity-over-(0...0 2) chain with a non-compact ideal
 
-The emitted text is byte-stable across releases: every fixture is produced
-by a deterministic construction and canonical JSON emission.
+Every fixture is produced by a deterministic construction and canonical
+JSON emission, so its text is byte-stable.  The one change so far: ex44's
+bytes changed when synthesis moved to the minimal scale; it realizes the
+same targets and zeta points with smaller multiplicities and sizes.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .diagram import TriangularSpec, characteristic_sequence
@@ -267,9 +267,9 @@ class SynthesisCertificate:
         )
 
 
-def _level_from_ell(ks: list[int], ell: Sequence[int], reduced: bool):
-    scale = lcm(*ks) if reduced else prod(ks)
-    mvector = tuple((scale // ks[j]) * ell[j] for j in range(len(ks)))
+def _level_from_ell(ks: list[int], ell: Sequence[int]):
+    scale = lcm(*(k // gcd(k, l) for k, l in zip(ks, ell)))
+    mvector = tuple(scale * l // k for k, l in zip(ks, ell))
     k_next = scale * sum(ell)
     zeta_point = SimplexPoint.normalized(ell)
     return mvector, k_next, zeta_point
@@ -280,15 +280,14 @@ def synthesize_level(
     xi: SimplexPoint,
     eps,
     exact: bool = False,
-    reduced: bool = False,
 ) -> tuple[tuple[int, ...], int, SimplexPoint]:
     """One induction step: from the sizes so far and the level target,
     produce (multiplicity vector, next size, realized point).
 
-    With scale K divisible by every k_j (the full product, or their lcm in
-    reduced mode), m_j = (K / k_j) l_j gives zeta_j = m_j k_j / k_next =
-    l_j / sum(l), so the realized point is exactly the integer
-    approximation of the target.
+    With the least scale K such that every k_j divides K l_j, that is
+    K = lcm_j(k_j / gcd(k_j, l_j)), m_j = K l_j / k_j gives zeta_j =
+    m_j k_j / k_next = l_j / sum(l) with k_next = K sum(l), so the realized
+    point is exactly the integer approximation of the target.
     """
     ks = list(kprefix)
     if len(ks) != xi.dim:
@@ -296,7 +295,12 @@ def synthesize_level(
     if any(k < 1 for k in ks):
         raise BratteliError("sizes must be positive")
     ell = approximate_on_simplex(xi, eps, exact=exact)
-    return _level_from_ell(ks, ell, reduced)
+    return _level_from_ell(ks, ell)
+
+
+def _require_k0(k0) -> None:
+    if not isinstance(k0, int) or isinstance(k0, bool) or k0 < 1:
+        raise BratteliError("k0 must be a positive integer")
 
 
 def synthesize(
@@ -304,7 +308,6 @@ def synthesize(
     count: int,
     k0: int = 1,
     exact: bool = False,
-    reduced: bool = False,
 ) -> tuple[TriangularSpec, SynthesisCertificate]:
     """Build a triangular diagram realizing the targets through level `count`.
 
@@ -312,6 +315,9 @@ def synthesize(
     just-infinite block structure; each level's realized point is within
     2^-n of the target in l1 (strictly), with the squared-l2 gap below 4^-n.
     """
+    _require_k0(k0)
+    if count < 0:
+        raise BratteliError("level count must be non-negative")
     ks = [k0]
     mvectors: list[tuple[int, ...]] = []
     records: list[LevelSynthesis] = []
@@ -319,7 +325,7 @@ def synthesize(
         xi = targets.point(n)
         eps_n = Fraction(1, 2**n * (n + 1))
         ell = approximate_on_simplex(xi, eps_n, exact=exact)
-        mvector, k_next, zeta_point = _level_from_ell(ks, ell, reduced)
+        mvector, k_next, zeta_point = _level_from_ell(ks, ell)
         gap_l1 = xi.l1_distance(zeta_point)
         gap_l2 = xi.l2sq_distance(zeta_point)
         if gap_l1 >= Fraction(1, 2**n):
@@ -336,7 +342,6 @@ def synthesized_generator(
     targets: TargetSequence,
     k0: int = 1,
     exact: bool = False,
-    reduced: bool = False,
     kind: str = "synthesized",
 ) -> "DiagramGenerator":
     """Lazy diagram rule driven by a target sequence.
@@ -346,24 +351,23 @@ def synthesized_generator(
     """
     from .diagram import DiagramGenerator
 
+    _require_k0(k0)
     cache: dict[int, tuple[int, ...]] = {}
 
     def rule(n: int) -> tuple[int, ...]:
         if n not in cache:
-            spec, _ = synthesize(targets, n, k0=k0, exact=exact, reduced=reduced)
+            spec, _ = synthesize(targets, n, k0=k0, exact=exact)
             cache.update(enumerate(spec.mvectors))
         return cache[n]
 
-    # every synthesized multiplicity is (scale / k_j) * l_j with l_j >= 1
+    # every synthesized multiplicity is scale * l_j / k_j with l_j >= 1
     return DiagramGenerator(kind, k0, rule, positivity_guaranteed=True)
 
 
 def stationary_generator(
-    weights: StationarySpec, k0: int = 1, exact: bool = True, reduced: bool = False
+    weights: StationarySpec, k0: int = 1, exact: bool = True
 ) -> "DiagramGenerator":
-    return synthesized_generator(
-        weights.targets(), k0=k0, exact=exact, reduced=reduced, kind="stationary"
-    )
+    return synthesized_generator(weights.targets(), k0=k0, exact=exact, kind="stationary")
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,6 +385,8 @@ def classify_stationary(t: StationarySpec, depth: int = 32) -> Classification:
     summable weights with at least two atoms give a non-Bauer simplex whose
     limit of extreme points is the normalized weight mixture; a single atom
     is isolated as degenerate; an undecidable tail reports partial sums."""
+    if depth < 0:
+        raise BratteliError("depth must be non-negative")
     tail = t.tail
     tail_zero = t._tail_is_zero()
     if tail.kind == "custom":

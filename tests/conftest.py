@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from bratteli import (
     SimplexPoint,
     StochasticAffineMap,
     TriangularSpec,
+    approximate_on_simplex,
     embed_triangular,
     profile_is_valid,
 )
@@ -101,6 +103,36 @@ def reference_approximation(xi: SimplexPoint, eps, scan_cap: int) -> tuple[int, 
         if all(abs(Fraction(l, total) - c) < eps for l, c in zip(ell, xi.coords)):
             return tuple(ell)
     raise BratteliError(f"no approximation found within denominator cap {scan_cap}")
+
+
+def reference_level(ks, ell, reduced: bool):
+    """Oracle: the two scales synthesis used before the minimal one, the
+    product of the sizes so far or (reduced) their lcm; m_j = (K / k_j) l_j
+    and k_next = K sum(l)."""
+    scale = lcm(*ks) if reduced else prod(ks)
+    mvector = tuple((scale // ks[j]) * ell[j] for j in range(len(ks)))
+    k_next = scale * sum(ell)
+    zeta_point = SimplexPoint.normalized(ell)
+    return mvector, k_next, zeta_point
+
+
+def reference_synthesis(targets, count: int, k0: int, exact: bool, reduced: bool):
+    """Oracle: synthesis level by level under `reference_level`.  Returns the
+    sizes k_0..k_{count+1} and one (ell, mvector, k_next, xi, zeta, gap_l1,
+    gap_l2sq, eps) record per level."""
+    ks = [k0]
+    records = []
+    for n in range(count + 1):
+        xi = targets.point(n)
+        eps = Fraction(1, 2**n * (n + 1))
+        ell = approximate_on_simplex(xi, eps, exact=exact)
+        mvector, k_next, zeta_point = reference_level(ks, ell, reduced)
+        records.append(
+            (ell, mvector, k_next, xi, zeta_point,
+             xi.l1_distance(zeta_point), xi.l2sq_distance(zeta_point), eps)
+        )
+        ks.append(k_next)
+    return ks, records
 
 
 def random_unital_step(rng: random.Random):

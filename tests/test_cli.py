@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -172,6 +173,53 @@ class TestSynthesizePipeline:
         )
         assert code == 0
         parse_diagram(out)
+
+    def test_fourteen_exact_levels(self, capsys):
+        # the product scale used to stop this at the 4300-digit limit
+        code, out, err = run_capture(
+            capsys,
+            ["synthesize", "--stationary", "geometric:1/2", "--levels", "14", "--exact", "--json"],
+        )
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        mvectors = obj["diagram"]["mvectors"]
+        levels = obj["certificate"]["levels"]
+        assert len(mvectors) == len(levels) == 15
+        ks = [obj["diagram"]["k0"]]
+        for n, (m, level) in enumerate(zip(mvectors, levels)):
+            ks.append(sum(a * b for a, b in zip(m, ks)))
+            assert level["mvector"] == m and level["k_next"] == ks[-1]
+            realized = [Fraction(a * b, ks[-1]) for a, b in zip(m, ks)]
+            target = [Fraction(1, 2**j) for j in range(n + 1)]
+            assert realized == [t / sum(target) for t in target]
+            assert [Fraction(c) for c in level["zeta"]] == realized
+            assert level["gap_l1"] == level["gap_l2_squared"] == "0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--stationary", "geometric:1/2", "--levels", "6"],
+            ["synthesize", "--stationary", "geometric:1/2", "--levels", "9", "--exact", "--json"],
+            ["synthesize", "--stationary", "geometric:2/3", "--levels", "5", "--k0", "3", "--json"],
+            ["synthesize", "--targets", "@targets", "--levels", "2", "--exact", "--certificate", "@cert"],
+            ["synthesize", "--stationary", "geometric:1/2", "--levels", "3", "--k0", "0"],
+            ["synthesize", "--stationary", "geometric:1/2", "--levels", "-1"],
+            ["synthesize", "--levels", "2"],
+        ],
+    )
+    def test_reduced_flag_has_no_effect(self, capsys, tmp_path, argv):
+        targets = tmp_path / "targets.json"
+        targets.write_text(
+            '{"format":"targets","points":[["1"],["2/3","1/3"],["1/2","1/4","1/4"]]}'
+        )
+
+        def outcome(extra):
+            cert = tmp_path / f"cert{len(extra)}.json"
+            paths = {"@targets": str(targets), "@cert": str(cert)}
+            result = run_capture(capsys, [paths.get(a, a) for a in argv] + extra)
+            return result, cert.read_text() if cert.exists() else None
+
+        assert outcome([]) == outcome(["--reduced"])
 
 
 class TestQuotientAndK0:

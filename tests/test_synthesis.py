@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -26,7 +27,7 @@ from bratteli import (
 from bratteli import synthesis
 from bratteli.cli import run
 
-from conftest import reference_approximation
+from conftest import reference_approximation, reference_level, reference_synthesis
 
 
 def halving() -> StationarySpec:
@@ -140,12 +141,17 @@ class TestSynthesizeLevel:
         assert k_next == m[0]
 
     def test_scale_product(self):
-        m, k_next, z = synthesize_level(
-            [1, 1, 2], SimplexPoint([F(1, 4), F(1, 4), F(1, 2)]), F(1, 8), exact=True
-        )
-        assert m == (2, 2, 2) and k_next == 8
+        # sizes (1, 1, 2) and target (1/4, 1/4, 1/2): the product and lcm
+        # scales (both 2) gave m = (2, 2, 2), k_next = 8; the minimal scale is 1
+        ks, xi = [1, 1, 2], SimplexPoint([F(1, 4), F(1, 4), F(1, 2)])
+        m, k_next, z = synthesize_level(ks, xi, F(1, 8), exact=True)
+        assert m == (1, 1, 1) and k_next == 4
         assert z.coords == (F(1, 4), F(1, 4), F(1, 2))
-        assert sum(mm * kk for mm, kk in zip(m, (1, 1, 2))) == k_next
+        assert sum(mm * kk for mm, kk in zip(m, ks)) == k_next
+        for reduced in (False, True):
+            m_ref, k_ref, z_ref = reference_level(ks, (1, 1, 2), reduced)
+            assert (m_ref, k_ref) == ((2, 2, 2), 8)
+            assert z_ref == z and k_next <= k_ref
 
 
 class TestSynthesize:
@@ -192,20 +198,19 @@ class TestSynthesize:
             assert g == cert.levels[n].gap_l1
 
     def test_reduced_mode_certified_identically(self):
+        # the minimal scale certifies exactly what the product and lcm
+        # scales certified, with sizes no larger than either
         targets = halving().targets()
-        full_spec, full_cert = synthesize(targets, 8, exact=True)
-        red_spec, red_cert = synthesize(targets, 8, exact=True, reduced=True)
-        for a, b in zip(full_cert.levels, red_cert.levels):
-            assert a.zeta == b.zeta and a.gap_l1 == b.gap_l1 == 0
-        ks = characteristic_sequence(red_spec, 9)
+        spec, cert = synthesize(targets, 8, exact=True)
+        ks = characteristic_sequence(spec, 9)
         for n in range(9):
-            assert zeta(red_spec, n) == targets.point(n)
-            assert sum(red_spec.mvectors[n][j] * ks[j] for j in range(n + 1)) == ks[n + 1]
-        # reduced sizes never exceed the full-product ones
-        assert all(
-            r <= f
-            for r, f in zip(ks, characteristic_sequence(full_spec, 9))
-        )
+            assert zeta(spec, n) == targets.point(n)
+            assert sum(spec.mvectors[n][j] * ks[j] for j in range(n + 1)) == ks[n + 1]
+        for reduced in (False, True):
+            ref_ks, records = reference_synthesis(targets, 8, 1, True, reduced)
+            for level, (*_, ref_zeta, ref_gap_l1, _, _) in zip(cert.levels, records):
+                assert level.zeta == ref_zeta and level.gap_l1 == ref_gap_l1 == 0
+            assert all(k <= r for k, r in zip(ks, ref_ks))
 
     def test_proportional_weights_give_identical_targets(self):
         rng = random.Random(3)
@@ -230,6 +235,148 @@ class TestSynthesize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "level 2: l1 gap 10/21 is not below its bound 1/4" in captured.err
+
+
+def assert_minimal_scale(ks, ell, scale):
+    """k_j | scale * l_j for every j, and (when scale is small enough to
+    brute-force) for no proper divisor of scale."""
+    assert all(scale * l % k == 0 for k, l in zip(ks, ell))
+    if scale > 10**8:
+        return
+    divisors = {d for i in range(1, math.isqrt(scale) + 1) if scale % i == 0 for d in (i, scale // i)}
+    for d in divisors - {scale}:
+        assert not all(d * l % k == 0 for k, l in zip(ks, ell)), (ks, ell, scale, d)
+
+
+def assert_matches_reference(targets, count, k0, exact):
+    spec, cert = synthesize(targets, count, k0=k0, exact=exact)
+    ks = characteristic_sequence(spec, count + 1)
+    assert ks[0] == k0
+    for n, level in enumerate(cert.levels):
+        assert level.mvector == spec.mvectors[n] and level.k_next == ks[n + 1]
+        assert sum(m * k for m, k in zip(level.mvector, ks)) == ks[n + 1]
+        assert ks[n + 1] % sum(level.ell) == 0
+        assert_minimal_scale(ks[: n + 1], level.ell, ks[n + 1] // sum(level.ell))
+    for reduced in (False, True):
+        ref_ks, records = reference_synthesis(targets, count, k0, exact, reduced)
+        for level, (ell, _, _, xi, z, gap_l1, gap_l2sq, eps) in zip(cert.levels, records):
+            assert (level.ell, level.xi, level.zeta) == (ell, xi, z)
+            assert (level.gap_l1, level.gap_l2sq, level.epsilon) == (gap_l1, gap_l2sq, eps)
+        assert all(k <= r for k, r in zip(ks, ref_ks))
+
+
+@st.composite
+def target_sequences(draw, exact: bool) -> TargetSequence:
+    """Explicit targets through level 0-7 (dimension <= 8); positive
+    coordinates when exact."""
+    low = F(1, 12) if exact else 0
+    points = []
+    for n in range(draw(st.integers(0, 7)) + 1):
+        weights = draw(
+            st.lists(
+                st.fractions(min_value=low, max_value=9, max_denominator=12),
+                min_size=n + 1,
+                max_size=n + 1,
+            )
+        )
+        if all(w == 0 for w in weights):
+            weights[draw(st.integers(0, n))] = F(1)
+        points.append(SimplexPoint.normalized(weights))
+    return TargetSequence.explicit(points)
+
+
+class TestMinimalScale:
+    """The one synthesis scale against the product and lcm scales it
+    replaced (`reference_level`): same l, xi, zeta, gaps and epsilon, the
+    size recurrence, sizes never larger, and the scale least possible."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_points(), st.data(), tolerances)
+    def test_level_matches_reference(self, xi, data, eps):
+        ks = data.draw(st.lists(st.integers(1, 720), min_size=xi.dim, max_size=xi.dim))
+        exact = 0 not in xi.coords and data.draw(st.booleans())
+        ell = approximate_on_simplex(xi, eps, exact=exact)
+        m, k_next, z = synthesize_level(ks, xi, eps, exact=exact)
+        assert sum(a * b for a, b in zip(m, ks)) == k_next
+        assert z == SimplexPoint.normalized(ell)
+        for reduced in (False, True):
+            _, k_ref, z_ref = reference_level(ks, ell, reduced)
+            assert z == z_ref and k_next <= k_ref
+        assert k_next % sum(ell) == 0
+        assert_minimal_scale(ks, ell, k_next // sum(ell))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda e: st.tuples(st.just(e), target_sequences(e))), st.integers(1, 5))
+    def test_random_targets_match_reference(self, exact_and_targets, k0):
+        exact, targets = exact_and_targets
+        assert_matches_reference(targets, targets.max_level, k0, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("ratio", [F(1, 2), F(2, 3)])
+    def test_seeded_geometric_targets_match_reference(self, ratio, exact):
+        rng = random.Random(29)
+        targets = StationarySpec((), TailRule.geometric(ratio)).targets()
+        points = []
+        for n in range(11):
+            coords = list(targets.point(n).coords)
+            rng.shuffle(coords)
+            points.append(SimplexPoint(coords))
+        for k0 in (1, rng.randint(2, 5)):
+            assert_matches_reference(TargetSequence.explicit(points), 10, k0, exact)
+
+    def test_inverse_squares_match_reference(self):
+        weights = StationarySpec([F(1, (j + 1) ** 2) for j in range(11)])
+        assert_matches_reference(weights.targets(), 10, 3, exact=False)
+
+    def test_fourteen_exact_levels_stay_small(self):
+        # under the product scale k_15 has 22,354 bits here
+        spec, cert = synthesize(halving().targets(), 14, exact=True)
+        assert cert.max_gap_l1 == 0
+        assert characteristic_sequence(spec, 15)[-1].bit_length() < 128
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("k0", [0, -2, True, 1.5, "1"])
+    def test_bad_k0_rejected_before_any_level(self, monkeypatch, k0):
+        from bratteli import stationary_generator, synthesized_generator
+
+        def no_level(*_args, **_kwargs):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(synthesis, "approximate_on_simplex", no_level)
+        targets = halving().targets()
+        for call in (
+            lambda: synthesize(targets, 3, k0=k0),
+            lambda: synthesized_generator(targets, k0=k0),
+            lambda: stationary_generator(halving(), k0=k0),
+        ):
+            with pytest.raises(BratteliError, match=r"^k0 must be a positive integer$"):
+                call()
+
+    def test_negative_level_count_rejected(self):
+        with pytest.raises(BratteliError, match=r"^level count must be non-negative$"):
+            synthesize(halving().targets(), -1)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(BratteliError, match=r"^depth must be non-negative$"):
+            classify_stationary(halving(), depth=-3)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synthesize", "--stationary", "geometric:1/2", "--levels", "3", "--k0", "0"],
+             "k0 must be a positive integer"),
+            (["synthesize", "--stationary", "geometric:1/2", "--levels", "-1"],
+             "level count must be non-negative"),
+            (["classify", "--stationary", "geometric:1/2", "--depth", "-3", "--json"],
+             "depth must be non-negative"),
+        ],
+    )
+    def test_cli_reports_one_line(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bratteli: {message}\n"
 
 
 class TestGenerators:
