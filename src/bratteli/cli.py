@@ -183,15 +183,17 @@ def _parse_family(text: str) -> list[SimplexPoint]:
 
 
 def _map_sequence_from_file(path: str, metric: str) -> MapSequence:
+    """The vertex-fixing maps of a targets file or the trace maps of a
+    diagram file, chosen by the file's "format"."""
     text = _read_text(path)
     try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = None  # parse_diagram reports it
+    if isinstance(obj, dict) and obj.get("format") == "targets":
         points = parse_targets(text)
-        targets = TargetSequence.explicit(points)
-        return targets.map_sequence(len(points) - 1, metric)
-    except BratteliError:
-        pass
-    diagram = parse_diagram(text)
-    prefix = _as_prefix(diagram, None)
+        return TargetSequence.explicit(points).map_sequence(len(points) - 1, metric)
+    prefix = _as_prefix(parse_diagram(text), None)
     return MapSequence(level_maps(prefix), metric)
 
 

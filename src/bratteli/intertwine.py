@@ -35,20 +35,17 @@ def map_distance(f: StochasticAffineMap, g: StochasticAffineMap, metric: str = "
     The pointwise distance x -> d(f(x), g(x)) is convex, so its sup over the
     simplex is attained at a vertex; the result is the exact max over
     columns.  For l2 the squared distance is returned (max of squares equals
-    square of max).  Each column pair is compared on integer numerators
-    over the lcm of its denominators.
+    square of max).  Each pair of stored integer columns is compared over
+    the lcm of their two denominators.
     """
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise BratteliError("shape mismatch")
     if metric not in _METRICS:
         raise BratteliError(f"unknown metric {metric!r}")
     best = Fraction(0)
-    for a, b in zip(zip(*f.entries), zip(*g.entries)):
-        den = lcm(*(x.denominator for x in a), *(y.denominator for y in b))
-        diffs = [
-            x.numerator * (den // x.denominator) - y.numerator * (den // y.denominator)
-            for x, y in zip(a, b)
-        ]
+    for (a, da), (b, db) in zip(f._columns, g._columns):
+        den = lcm(da, db)
+        diffs = [x * (den // da) - y * (den // db) for x, y in zip(a, b)]
         if metric == "l1":
             d = Fraction(sum(map(abs, diffs)), den)
         else:

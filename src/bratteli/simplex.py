@@ -1,18 +1,23 @@
 """Exact barycentric geometry on standard simplices.
 
-Points are tuples of non-negative rationals summing to exactly 1; affine maps
-between simplices are column-stochastic rational matrices acting in
-barycentric coordinates.  Everything is `fractions.Fraction`, so equality and
-distance comparisons are exact; squared Euclidean distances are used wherever
-the plain distance would be irrational.
+Points are tuples of non-negative rationals summing to exactly 1, held as
+`fractions.Fraction`.  Affine maps between simplices are column-stochastic
+rational matrices acting in barycentric coordinates; a map keeps each
+column as integer numerators over one positive denominator, reduced by
+their gcd, so checking, applying and composing maps is integer arithmetic
+and equal maps have equal storage.  `Fraction`s appear only in the views a
+caller reads (points, `entries`, `column_point`).  Equality and distance
+comparisons are exact; squared Euclidean distances are used wherever the
+plain distance would be irrational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 
 def _as_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
@@ -82,8 +87,20 @@ class SimplexPoint:
 
     def common_denominator_strings(self) -> tuple[str, ...]:
         """Coordinates rendered over one shared denominator, e.g. 2/16."""
-        den = lcm(*(c.denominator for c in self.coords))
-        return tuple(f"{c.numerator * (den // c.denominator)}/{den}" for c in self.coords)
+        nums, den = _over_lcm(self.coords)
+        return tuple(f"{n}/{den}" for n in nums)
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of the given fractions over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _vertex_columns(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The n vertices of the (n-1)-simplex as integer columns over 1."""
+    return [((0,) * j + (1,) + (0,) * (n - 1 - j), 1) for j in range(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,9 +110,16 @@ class StochasticAffineMap:
     Column i is the image of the i-th domain vertex; applying the map to a
     point takes the corresponding convex combination of columns.  Every such
     map is automatically nonexpansive for the l1 (total variation) metric.
+
+    Each column is stored as a pair (nums, den): non-negative integer
+    numerators over a positive denominator with sum(nums) == den and
+    gcd(nums) == 1, so two maps are equal exactly when their matrices are.
+    `apply` and `compose` work on these integers over the lcm of the column
+    denominators; `entries` and `column_point` are `Fraction` views built
+    on each read.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    _columns: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, entries: Iterable[Iterable]) -> None:
         rows = tuple(_as_fraction_tuple(r) for r in entries)
@@ -104,56 +128,82 @@ class StochasticAffineMap:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
-        if any(e < 0 for r in rows for e in r):
+        self._set_columns([_over_lcm(column) for column in zip(*rows)])
+
+    @classmethod
+    def _from_int_columns(cls, columns: Iterable[tuple[Sequence[int], int]]) -> "StochasticAffineMap":
+        """Trusted constructor from integer columns (nums, den), for maps the
+        package builds itself.  Checks shape, sign and each column's sum as
+        the row constructor does, with the same error texts."""
+        columns = [(tuple(nums), den) for nums, den in columns]
+        if not columns or not columns[0][0]:
+            raise ValueError("matrix must be non-empty")
+        height = len(columns[0][0])
+        if any(len(nums) != height for nums, _ in columns):
+            raise ValueError("ragged matrix")
+        out = object.__new__(cls)
+        out._set_columns(columns)
+        return out
+
+    def _set_columns(self, columns: list[tuple[tuple[int, ...], int]]) -> None:
+        """Check sign and column sums of same-height integer columns, reduce
+        each by its gcd and store them."""
+        if any(den < 1 or min(nums) < 0 for nums, den in columns):
             raise ValueError("entries must be non-negative")
-        for j in range(width):
-            s = sum(r[j] for r in rows)
-            if s != 1:
-                raise ValueError(f"column {j} sums to {s}, expected 1")
-        object.__setattr__(self, "entries", rows)
+        for j, (nums, den) in enumerate(columns):
+            s = sum(nums)
+            if s != den:
+                raise ValueError(f"column {j} sums to {Fraction(s, den)}, expected 1")
+            g = gcd(*nums)
+            if g > 1:
+                columns[j] = (tuple([n // g for n in nums]), den // g)
+        object.__setattr__(self, "_columns", tuple(columns))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self._columns[0][0])
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self._columns)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as rows of `Fraction`s (a view built on each read)."""
+        return tuple(zip(*(tuple(Fraction(n, den) for n in nums) for nums, den in self._columns)))
 
     def column_point(self, j: int) -> SimplexPoint:
-        return SimplexPoint(tuple(r[j] for r in self.entries))
+        nums, den = self._columns[j]
+        return SimplexPoint(Fraction(n, den) for n in nums)
+
+    def _combine(self, weight_vectors: Iterable[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
+        """For each vector w of non-negative integer weights, the convex
+        combination sum_k w_k column_k as numerators over sum(w) times the
+        lcm of the column denominators."""
+        scale = lcm(*(den for _, den in self._columns))
+        factors = [scale // den for _, den in self._columns]
+        rows = list(zip(*(nums for nums, _ in self._columns)))
+        for weights in weight_vectors:
+            scaled = list(map(mul, weights, factors))
+            yield [sum(map(mul, row, scaled)) for row in rows], scale * sum(weights)
 
     def apply(self, point: SimplexPoint) -> SimplexPoint:
         if point.dim != self.cols:
             raise ValueError(
                 f"map expects {self.cols} coordinates, point has {point.dim}"
             )
-        return SimplexPoint(
-            tuple(
-                sum(row[j] * point[j] for j in range(self.cols))
-                for row in self.entries
-            )
-        )
+        [(nums, den)] = self._combine([_over_lcm(point.coords)[0]])
+        return SimplexPoint(Fraction(n, den) for n in nums)
 
     def compose(self, inner: "StochasticAffineMap") -> "StochasticAffineMap":
         """self o inner: apply `inner` first."""
         if self.cols != inner.rows:
             raise ValueError("composition shape mismatch")
-        return StochasticAffineMap(
-            tuple(
-                tuple(
-                    sum(self.entries[i][k] * inner.entries[k][j] for k in range(self.cols))
-                    for j in range(inner.cols)
-                )
-                for i in range(self.rows)
-            )
-        )
+        return StochasticAffineMap._from_int_columns(self._combine(nums for nums, _ in inner._columns))
 
     @staticmethod
     def identity(n: int) -> "StochasticAffineMap":
-        return StochasticAffineMap(
-            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-        )
+        return StochasticAffineMap._from_int_columns(_vertex_columns(n))
 
     @staticmethod
     def from_columns(columns: Sequence[SimplexPoint]) -> "StochasticAffineMap":
@@ -162,16 +212,13 @@ class StochasticAffineMap:
         size = columns[0].dim
         if any(c.dim != size for c in columns):
             raise ValueError("columns must share a dimension")
-        return StochasticAffineMap(
-            tuple(tuple(c[i] for c in columns) for i in range(size))
-        )
+        return StochasticAffineMap._from_int_columns(_over_lcm(c.coords) for c in columns)
 
     @staticmethod
     def vertex_fixing(new_vertex_image: SimplexPoint) -> "StochasticAffineMap":
         """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
         the first n vertices and sends the last vertex to the given point."""
         n = new_vertex_image.dim
-        return StochasticAffineMap(
-            (0,) * i + (1,) + (0,) * (n - 1 - i) + (c,)
-            for i, c in enumerate(new_vertex_image)
+        return StochasticAffineMap._from_int_columns(
+            [*_vertex_columns(n), _over_lcm(new_vertex_image.coords)]
         )

@@ -5,6 +5,7 @@ with one vertex per matrix summand (the normalized trace on that summand).
 A unital embedding with multiplicity matrix A and sizes k -> l induces the
 column-stochastic map whose (j, i) entry is A(i, j) k_j / l_i: unitality
 makes each column sum to exactly 1, so everything stays in exact rationals.
+Column i is built as the integers (A(i, j) k_j)_j over l_i.
 """
 
 from __future__ import annotations
@@ -55,11 +56,8 @@ def induced_trace_map(
     sum to 1.
     """
     src, dst = _unital_step(matrix, u_src, u_dst)
-    return StochasticAffineMap(
-        tuple(
-            tuple(Fraction(matrix.entry(i, j) * src[j], dst[i]) for i in range(len(dst)))
-            for j in range(len(src))
-        )
+    return StochasticAffineMap._from_int_columns(
+        (tuple(map(mul, row, src)), l) for row, l in zip(matrix.entries, dst)
     )
 
 

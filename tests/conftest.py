@@ -3,8 +3,10 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -153,6 +155,117 @@ def random_point(rng: random.Random, dim: int) -> SimplexPoint:
 
 def random_stochastic_map(rng: random.Random, rows: int, cols: int) -> StochasticAffineMap:
     return StochasticAffineMap.from_columns([random_point(rng, rows) for _ in range(cols)])
+
+
+# --- the Fraction oracle for trace-simplex maps ---------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceMap:
+    """Oracle: the `Fraction` form of `StochasticAffineMap`, one Fraction
+    per entry, every column re-added in Fractions on construction."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, entries: Iterable[Iterable]) -> None:
+        rows = tuple(tuple(Fraction(v) for v in r) for r in entries)
+        if not rows or not rows[0]:
+            raise ValueError("matrix must be non-empty")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        if any(e < 0 for r in rows for e in r):
+            raise ValueError("entries must be non-negative")
+        for j in range(width):
+            s = sum(r[j] for r in rows)
+            if s != 1:
+                raise ValueError(f"column {j} sums to {s}, expected 1")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
+
+    def column_point(self, j: int) -> SimplexPoint:
+        return SimplexPoint(tuple(r[j] for r in self.entries))
+
+    def apply(self, point: SimplexPoint) -> SimplexPoint:
+        if point.dim != self.cols:
+            raise ValueError(
+                f"map expects {self.cols} coordinates, point has {point.dim}"
+            )
+        return SimplexPoint(
+            tuple(
+                sum(row[j] * point[j] for j in range(self.cols))
+                for row in self.entries
+            )
+        )
+
+    def compose(self, inner: "ReferenceMap") -> "ReferenceMap":
+        """self o inner: apply `inner` first."""
+        if self.cols != inner.rows:
+            raise ValueError("composition shape mismatch")
+        return ReferenceMap(
+            tuple(
+                tuple(
+                    sum(self.entries[i][k] * inner.entries[k][j] for k in range(self.cols))
+                    for j in range(inner.cols)
+                )
+                for i in range(self.rows)
+            )
+        )
+
+    @staticmethod
+    def identity(n: int) -> "ReferenceMap":
+        return ReferenceMap(
+            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        )
+
+    @staticmethod
+    def from_columns(columns: Sequence[SimplexPoint]) -> "ReferenceMap":
+        if not columns:
+            raise ValueError("need at least one column")
+        size = columns[0].dim
+        if any(c.dim != size for c in columns):
+            raise ValueError("columns must share a dimension")
+        return ReferenceMap(
+            tuple(tuple(c[i] for c in columns) for i in range(size))
+        )
+
+    @staticmethod
+    def vertex_fixing(new_vertex_image: SimplexPoint) -> "ReferenceMap":
+        """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
+        the first n vertices and sends the last vertex to the given point."""
+        n = new_vertex_image.dim
+        return ReferenceMap(
+            (0,) * i + (1,) + (0,) * (n - 1 - i) + (c,)
+            for i, c in enumerate(new_vertex_image)
+        )
+
+
+def reference_induced_trace_map(matrix: MultiplicityMatrix, u_src, u_dst) -> ReferenceMap:
+    """Oracle: the induced map of a unital step, entry (j, i) =
+    A(i, j) k_j / l_i, built entry by entry in Fractions."""
+    src, dst = tuple(u_src), tuple(u_dst)
+    return ReferenceMap(
+        tuple(
+            tuple(Fraction(matrix.entry(i, j) * src[j], dst[i]) for i in range(len(dst)))
+            for j in range(len(src))
+        )
+    )
+
+
+def reference_map_distance(f: ReferenceMap, g: ReferenceMap, metric: str) -> Fraction:
+    """Oracle: the max over columns of the l1 or squared l2 distance of
+    the two column points."""
+    columns = [(f.column_point(j), g.column_point(j)) for j in range(f.cols)]
+    if metric == "l1":
+        return max(a.l1_distance(b) for a, b in columns)
+    return max(a.l2sq_distance(b) for a, b in columns)
 
 
 def embed(spec: TriangularSpec, depth: int) -> BratteliPrefix:

@@ -339,6 +339,46 @@ class TestMoreVerbs:
         assert out.strip() == "(2/3,1/3)"
 
 
+class TestIntertwineFiles:
+    """`intertwine` reads each file by its "format": a bad targets file
+    reports its own error, not a diagram parse error."""
+
+    @pytest.fixture
+    def bad_targets(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format":"targets","points":[["1"],["1/2","1/3"]]}')
+        return str(path)
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    @pytest.mark.parametrize(
+        "action, extra",
+        [("gaps", []), ("estimate", ["--level", "0", "--vertex", "0", "--depth", "1"])],
+    )
+    def test_targets_error_reaches_user(self, capsys, ex43_file, bad_targets, action, extra, bad_first):
+        files = [bad_targets, ex43_file] if bad_first else [ex43_file, bad_targets]
+        code, out, err = run_capture(capsys, ["intertwine", action, *files, *extra])
+        assert code == 1 and out == ""
+        assert err == "bratteli: point 1: coordinates must sum to 1, got 5/6\n"
+
+    def test_synthesize_reports_the_same_error(self, capsys, bad_targets):
+        code, _, err = run_capture(capsys, ["synthesize", "--targets", bad_targets, "--levels", "1"])
+        assert code == 1
+        assert err == "bratteli: point 1: coordinates must sum to 1, got 5/6\n"
+
+    def test_targets_against_diagram(self, capsys, tmp_path, ex43_file):
+        path = tmp_path / "targets.json"
+        path.write_text('{"format":"targets","points":[["1"],["1/2","1/2"],["1/4","1/4","1/2"]]}')
+        code, out, _ = run_capture(capsys, ["intertwine", "gaps", str(path), ex43_file, "--json"])
+        assert code == 0
+        assert len(json.loads(out)["gaps"]) == 2
+
+    def test_invalid_json_is_reported(self, capsys, tmp_path, ex43_file):
+        path = tmp_path / "junk.json"
+        path.write_text("{")
+        code, _, err = run_capture(capsys, ["intertwine", "gaps", str(path), ex43_file])
+        assert code == 1 and err.startswith("bratteli: not valid JSON:")
+
+
 class TestDotExport:
     def test_counts_match_direct_tally(self, capsys):
         prefix = embed(all_ones_spec(2), 2)

@@ -1,0 +1,270 @@
+"""The integer column kernel of `StochasticAffineMap` against the Fraction
+oracle `ReferenceMap`: views, apply, compose, the constructors, the induced
+trace maps, map distances and every constructor error text."""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bratteli import (
+    SimplexPoint,
+    StochasticAffineMap,
+    induced_trace_map,
+    level_maps,
+    map_distance,
+)
+
+from conftest import (
+    ReferenceMap,
+    random_unital_prefix,
+    random_unital_step,
+    reference_induced_trace_map,
+    reference_map_distance,
+)
+
+weights = st.fractions(min_value=0, max_value=9, max_denominator=12)
+
+
+def points(dim: int):
+    return st.lists(weights, min_size=dim, max_size=dim).filter(any).map(SimplexPoint.normalized)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Rows of a random column-stochastic Fraction matrix."""
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    columns = draw(st.lists(points(rows), min_size=cols, max_size=cols))
+    return [[c[i] for c in columns] for i in range(rows)]
+
+
+def int_columns(rows):
+    """The columns of a non-empty, non-ragged matrix as (nums, den) over
+    the lcm of each column's denominators."""
+    out = []
+    for column in zip(*(tuple(F(v) for v in r) for r in rows)):
+        den = lcm(*(v.denominator for v in column))
+        out.append((tuple(v.numerator * (den // v.denominator) for v in column), den))
+    return out
+
+
+def outcome(build, rows):
+    try:
+        return "ok", build(rows).entries
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def assert_matches(m: StochasticAffineMap, ref: ReferenceMap) -> None:
+    assert (m.rows, m.cols) == (ref.rows, ref.cols)
+    assert m.entries == ref.entries
+    for j in range(m.cols):
+        assert m.column_point(j) == ref.column_point(j)
+
+
+class TestViewsAndEquality:
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    def test_row_constructor_matches_oracle(self, rows):
+        assert_matches(StochasticAffineMap(rows), ReferenceMap(rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.data())
+    def test_equal_maps_have_equal_storage(self, rows, data):
+        m = StochasticAffineMap(rows)
+        scales = data.draw(st.lists(st.integers(1, 50), min_size=m.cols, max_size=m.cols))
+        scaled = StochasticAffineMap._from_int_columns(
+            (tuple(n * c for n in nums), den * c) for (nums, den), c in zip(int_columns(rows), scales)
+        )
+        copies = (
+            scaled,
+            StochasticAffineMap(m.entries),
+            StochasticAffineMap.from_columns([m.column_point(j) for j in range(m.cols)]),
+        )
+        for other in copies:
+            assert other == m and hash(other) == hash(m)
+            assert other._columns == m._columns
+
+    def test_distinct_maps_differ(self):
+        f = StochasticAffineMap([[1, F(1, 2)], [0, F(1, 2)]])
+        g = StochasticAffineMap([[1, F(1, 3)], [0, F(2, 3)]])
+        assert f != g and f.entries != g.entries
+
+    def test_immutable(self):
+        m = StochasticAffineMap.identity(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m._columns = ()
+        # a name outside the fields: frozen slots dataclasses raise
+        # TypeError here on some Python versions
+        with pytest.raises((AttributeError, TypeError)):
+            m.entries = ((F(1),),)
+        assert m == StochasticAffineMap.identity(2)
+
+
+class TestArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.data())
+    def test_apply_matches_oracle(self, rows, data):
+        point = data.draw(points(len(rows[0])))
+        assert StochasticAffineMap(rows).apply(point) == ReferenceMap(rows).apply(point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_compose_matches_oracle(self, rows, mid, cols, data):
+        outer = data.draw(matrices(rows, mid))
+        inner = data.draw(matrices(mid, cols))
+        got = StochasticAffineMap(outer).compose(StochasticAffineMap(inner))
+        want = ReferenceMap(outer).compose(ReferenceMap(inner))
+        assert_matches(got, want)
+        assert got == StochasticAffineMap(want.entries)
+
+    def test_shape_errors_match_oracle(self):
+        for build in (StochasticAffineMap, ReferenceMap):
+            f, g = build.identity(2), build.identity(3)
+            with pytest.raises(ValueError, match="^composition shape mismatch$"):
+                f.compose(g)
+            with pytest.raises(ValueError, match="^map expects 2 coordinates, point has 3$"):
+                f.apply(SimplexPoint.barycenter(3))
+
+    def test_large_denominators(self):
+        p = SimplexPoint([F(1, 2**80), 1 - F(1, 2**80)])
+        q = SimplexPoint([F(3, 7**40), F(1, 5**30), 1 - F(3, 7**40) - F(1, 5**30)])
+        got = StochasticAffineMap.vertex_fixing(p).compose(StochasticAffineMap.vertex_fixing(q))
+        want = ReferenceMap.vertex_fixing(p).compose(ReferenceMap.vertex_fixing(q))
+        assert_matches(got, want)
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_identity(self, n):
+        assert_matches(StochasticAffineMap.identity(n), ReferenceMap.identity(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(points(d), min_size=1, max_size=4)))
+    def test_from_columns(self, columns):
+        assert_matches(StochasticAffineMap.from_columns(columns), ReferenceMap.from_columns(columns))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(points))
+    def test_vertex_fixing(self, point):
+        assert_matches(StochasticAffineMap.vertex_fixing(point), ReferenceMap.vertex_fixing(point))
+
+    def test_from_columns_errors(self):
+        with pytest.raises(ValueError, match="^need at least one column$"):
+            StochasticAffineMap.from_columns([])
+        with pytest.raises(ValueError, match="^columns must share a dimension$"):
+            StochasticAffineMap.from_columns([SimplexPoint.vertex(2, 0), SimplexPoint.vertex(3, 0)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_induced_maps_of_random_steps(self, seed):
+        rng = random.Random(seed)
+        mat, u_src, u_dst = random_unital_step(rng)
+        assert_matches(induced_trace_map(mat, u_src, u_dst), reference_induced_trace_map(mat, u_src, u_dst))
+        prefix = random_unital_prefix(rng, max_depth=5, max_width=5)
+        for n, m in enumerate(level_maps(prefix)):
+            ref = reference_induced_trace_map(prefix.matrices[n], prefix.levels[n], prefix.levels[n + 1])
+            assert_matches(m, ref)
+
+
+class TestMapDistance:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_matches_oracle(self, rows, cols, data):
+        a, b = data.draw(matrices(rows, cols)), data.draw(matrices(rows, cols))
+        for metric in ("l1", "l2"):
+            want = reference_map_distance(ReferenceMap(a), ReferenceMap(b), metric)
+            assert map_distance(StochasticAffineMap(a), StochasticAffineMap(b), metric) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_induced_map_against_random_map(self, seed, data):
+        mat, u_src, u_dst = random_unital_step(random.Random(seed))
+        f = induced_trace_map(mat, u_src, u_dst)
+        other = data.draw(matrices(f.rows, f.cols))
+        for metric in ("l1", "l2"):
+            want = reference_map_distance(reference_induced_trace_map(mat, u_src, u_dst), ReferenceMap(other), metric)
+            assert map_distance(f, StochasticAffineMap(other), metric) == want
+
+
+@st.composite
+def bad_matrices(draw):
+    """Row matrices of ints or Fractions that are often not column
+    stochastic: empty, ragged, with a negative entry or a bad column sum."""
+    kind = draw(st.sampled_from(["empty", "ragged", "negative", "sum", "ints", "valid"]))
+    if kind == "empty":
+        return draw(st.sampled_from([[], [[]], [[], []]]))
+    if kind == "ints":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        return draw(st.lists(st.lists(st.integers(-2, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    rows = draw(matrices())
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    if kind == "ragged":
+        if draw(st.booleans()) and len(rows[i]) > 1:
+            rows[i] = rows[i][:-1]
+        else:
+            rows[i] = rows[i] + [F(0)]
+        if i == 0:
+            rows.append(list(rows[0]) + [F(0)])
+    elif kind == "negative":
+        rows[i][j] = -draw(weights.filter(bool))
+    elif kind == "sum":
+        rows[i][j] += draw(weights.filter(bool)) * draw(st.sampled_from([1, -1]))
+    return rows
+
+
+class TestErrorTexts:
+    @settings(max_examples=200, deadline=None)
+    @given(bad_matrices())
+    def test_row_constructor_matches_oracle(self, rows):
+        assert outcome(StochasticAffineMap, rows) == outcome(ReferenceMap, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bad_matrices())
+    def test_trusted_constructor_matches_oracle(self, rows):
+        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+            return
+        got = outcome(lambda r: StochasticAffineMap._from_int_columns(int_columns(r)), rows)
+        assert got == outcome(ReferenceMap, rows)
+
+    @pytest.mark.parametrize(
+        "rows, text",
+        [
+            ([], "matrix must be non-empty"),
+            ([[]], "matrix must be non-empty"),
+            ([[1, 0], [0]], "ragged matrix"),
+            ([[1, -1], [0, 2]], "entries must be non-negative"),
+            ([[F(-1, 2), 1], [F(3, 2), 0]], "entries must be non-negative"),
+            ([[1, 1], [0, 1]], "column 1 sums to 2, expected 1"),
+            ([[1, F(1, 2)], [0, F(1, 3)]], "column 1 sums to 5/6, expected 1"),
+        ],
+    )
+    def test_fixed_texts(self, rows, text):
+        for build in (StochasticAffineMap, ReferenceMap):
+            with pytest.raises(ValueError) as exc:
+                build(rows)
+            assert str(exc.value) == text
+
+    @pytest.mark.parametrize(
+        "columns, text",
+        [
+            ([], "matrix must be non-empty"),
+            ([((), 1)], "matrix must be non-empty"),
+            ([((1,), 1), ((0, 1), 1)], "ragged matrix"),
+            ([((2, -1), 1)], "entries must be non-negative"),
+            ([((0,), 0)], "entries must be non-negative"),
+            ([((1,), 1), ((1, 1), 3)], "ragged matrix"),
+            ([((1, 0), 1), ((1, 1), 3)], "column 1 sums to 2/3, expected 1"),
+        ],
+    )
+    def test_trusted_fixed_texts(self, columns, text):
+        with pytest.raises(ValueError) as exc:
+            StochasticAffineMap._from_int_columns(columns)
+        assert str(exc.value) == text

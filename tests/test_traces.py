@@ -10,20 +10,43 @@ from bratteli import (
     BratteliPrefix,
     MultiplicityMatrix,
     SimplexPoint,
+    StationarySpec,
     StochasticAffineMap,
+    TailRule,
     TraceLabel,
     TriangularSpec,
     check_rfd_ji,
     embed_triangular,
     induced_trace_map,
     label_trace,
+    level_maps,
     limit_trace_restriction,
     push_point,
     zeta,
 )
 from bratteli.diagram import characteristic_sequence
 
-from conftest import random_point, random_unital_prefix
+from conftest import ReferenceMap, random_point, random_unital_prefix, reference_induced_trace_map
+
+
+def count_map_constructions(monkeypatch) -> dict[str, int]:
+    """Count `StochasticAffineMap` constructions from the next call on, by
+    path: the Fraction row constructor and the integer column one."""
+    calls = {"rows": 0, "columns": 0}
+    init = StochasticAffineMap.__init__
+    from_int_columns = StochasticAffineMap._from_int_columns
+
+    def counting_init(self, entries):
+        calls["rows"] += 1
+        init(self, entries)
+
+    def counting_columns(cls, columns):
+        calls["columns"] += 1
+        return from_int_columns(columns)
+
+    monkeypatch.setattr(StochasticAffineMap, "__init__", counting_init)
+    monkeypatch.setattr(StochasticAffineMap, "_from_int_columns", classmethod(counting_columns))
+    return calls
 
 
 class TestInducedTraceMap:
@@ -149,16 +172,35 @@ class TestPushAgainstInducedMaps:
 
     def test_builds_no_map(self, monkeypatch, ones12):
         prefix = embed_triangular(ones12, 10)
-        calls = []
-        original = StochasticAffineMap.__init__
-
-        def counting(self, entries):
-            calls.append(entries)
-            original(self, entries)
-
-        monkeypatch.setattr(StochasticAffineMap, "__init__", counting)
+        calls = count_map_constructions(monkeypatch)
         assert push_point(prefix, SimplexPoint.barycenter(10), 9, 0) == SimplexPoint.vertex(1, 0)
-        assert calls == []
+        assert calls == {"rows": 0, "columns": 0}
+        # the counters see both paths
+        level_maps(prefix)
+        StochasticAffineMap([[1]])
+        assert calls == {"rows": 1, "columns": prefix.depth - 1}
+
+
+class TestPackageMapsSkipRowConstructor:
+    """The package's own maps are built from integer columns, never through
+    the Fraction row constructor."""
+
+    def test_level_maps(self, monkeypatch, ones12):
+        prefix = embed_triangular(ones12, 10)
+        calls = count_map_constructions(monkeypatch)
+        maps = level_maps(prefix)
+        assert calls == {"rows": 0, "columns": prefix.depth - 1}
+        for n, m in enumerate(maps):
+            ref = reference_induced_trace_map(prefix.matrices[n], prefix.levels[n], prefix.levels[n + 1])
+            assert m.entries == ref.entries
+
+    def test_target_map_sequence(self, monkeypatch):
+        targets = StationarySpec(tail=TailRule.geometric(F(1, 2))).targets()
+        calls = count_map_constructions(monkeypatch)
+        seq = targets.map_sequence(8)
+        assert calls == {"rows": 0, "columns": 8}
+        for n, m in enumerate(seq.maps):
+            assert m.entries == ReferenceMap.vertex_fixing(targets.point(n)).entries
 
 
 class TestLimitTraceRestriction:
