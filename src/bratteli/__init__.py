@@ -12,7 +12,6 @@ prefix computations (`k0`), and file/CLI plumbing (`formats`, `fixtures`,
 
 from .diagram import (
     BratteliPrefix,
-    DiagramGenerator,
     DimensionVector,
     MultiplicityMatrix,
     TriangularSpec,
@@ -61,12 +60,9 @@ from .synthesis import (
     TargetSequence,
     approximate_on_simplex,
     classify_stationary,
-    stationary_generator,
     stationary_targets,
     synthesize,
     synthesize_level,
-    synthesized_generator,
-    verify_g_consistency,
 )
 from .traces import (
     TraceLabel,

@@ -15,9 +15,9 @@ here is immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InsufficientPrefixError, InvalidPrefixError
 
@@ -31,7 +31,7 @@ def _as_int_tuple(values: Iterable) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DimensionVector:
     """Sizes of the matrix-algebra summands at one level, one per vertex."""
 
@@ -55,7 +55,7 @@ class DimensionVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MultiplicityMatrix:
     """Non-negative integer matrix of edge multiplicities between two levels.
 
@@ -123,7 +123,7 @@ class MultiplicityMatrix:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ValidationIssue:
     level: int
     code: str
@@ -133,7 +133,7 @@ class ValidationIssue:
         return f"level {self.level}: {self.code} ({self.detail})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ValidationReport:
     issues: tuple[ValidationIssue, ...]
 
@@ -142,7 +142,7 @@ class ValidationReport:
         return not self.issues
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BratteliPrefix:
     """Finite truncation of a Bratteli diagram.
 
@@ -252,7 +252,7 @@ class BratteliPrefix:
         return BratteliPrefix(self.levels[:depth], self.matrices[: depth - 1], self.unital)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TriangularSpec:
     """One-new-vertex-per-level diagram family.
 
@@ -317,48 +317,3 @@ def embed_triangular(spec: TriangularSpec, count: int) -> BratteliPrefix:
         ident = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
         matrices.append(MultiplicityMatrix(ident + [list(spec.mvectors[n])]))
     return BratteliPrefix(levels, matrices, unital=True)
-
-
-@dataclass(frozen=True, eq=False)
-class DiagramGenerator:
-    """Lazy rule producing finite prefixes of an infinite triangular diagram.
-
-    Rules are pure: requesting the same level twice yields identical data.
-    Generators have identity semantics only; compare their outputs instead.
-    """
-
-    kind: str
-    k0: int
-    mvector_rule: Callable[[int], tuple[int, ...]] = field(compare=False)
-    # rule-level guarantee that every multiplicity is >= 1 (so every prefix
-    # carries the just-infinite block structure by construction)
-    positivity_guaranteed: bool = False
-
-    def mvector(self, n: int) -> tuple[int, ...]:
-        m = tuple(self.mvector_rule(n))
-        if len(m) != n + 1 or any(e < 0 for e in m) or all(e == 0 for e in m):
-            raise ValueError(f"rule produced an invalid multiplicity vector at level {n}")
-        return m
-
-    def spec(self, count: int) -> TriangularSpec:
-        return TriangularSpec(self.k0, [self.mvector(n) for n in range(count)])
-
-    def prefix(self, count: int) -> BratteliPrefix:
-        return embed_triangular(self.spec(count), count)
-
-    @staticmethod
-    def constant_ones(k0: int = 1) -> "DiagramGenerator":
-        return DiagramGenerator(
-            "constant-ones", k0, lambda n: (1,) * (n + 1), positivity_guaranteed=True
-        )
-
-    @staticmethod
-    def explicit(spec: TriangularSpec) -> "DiagramGenerator":
-        def rule(n: int) -> tuple[int, ...]:
-            if n >= spec.levels_defined:
-                raise InsufficientPrefixError(
-                    f"explicit generator holds {spec.levels_defined} levels, asked for {n}"
-                )
-            return spec.mvectors[n]
-
-        return DiagramGenerator("explicit", spec.k0, rule)

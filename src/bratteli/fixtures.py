@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import BratteliPrefix, TriangularSpec
+from .diagram import BratteliPrefix, MultiplicityMatrix, TriangularSpec
 from .errors import BratteliError
 from .formats import Diagram, emit_diagram
 from .synthesis import StationarySpec, TailRule, synthesize
@@ -37,52 +37,33 @@ def _halving_synthesized() -> TriangularSpec:
     return spec
 
 
-def _car_quotient_left() -> BratteliPrefix:
-    levels = [[1]]
+def _chain(step_rows) -> BratteliPrefix:
+    """Unital prefix from level (1) whose matrix at width w is step_rows(w)."""
+    levels = [(1,)]
     matrices = []
-    for i in range(_GENERAL_DEPTH):
-        width = i + 1
-        rows = [[2] + [0] * (width - 1)]
-        for j in range(1, width):
-            rows.append([1 if b == j else 0 for b in range(width)])
-        rows.append([1] * width)
-        matrices.append(rows)
-        prev = levels[-1]
-        levels.append(
-            [sum(rows[a][b] * prev[b] for b in range(width)) for a in range(width + 1)]
-        )
+    for width in range(1, _GENERAL_DEPTH + 1):
+        matrix = MultiplicityMatrix(step_rows(width))
+        matrices.append(matrix)
+        levels.append(matrix.apply(levels[-1]))
     return BratteliPrefix(levels, matrices, unital=True)
+
+
+def _unit_rows(width: int, count: int) -> list[list[int]]:
+    return [[1 if b == j else 0 for b in range(width)] for j in range(count)]
+
+
+def _car_quotient_left() -> BratteliPrefix:
+    return _chain(
+        lambda w: [[2] + [0] * (w - 1)] + _unit_rows(w, w)[1:] + [[1] * w]
+    )
 
 
 def _car_quotient_right() -> BratteliPrefix:
-    levels = [[1]]
-    matrices = []
-    for i in range(_GENERAL_DEPTH):
-        width = i + 1
-        rows = [[1 if b == j else 0 for b in range(width)] for j in range(width - 1)]
-        rows.append([1] * width)
-        rows.append([0] * (width - 1) + [2])
-        matrices.append(rows)
-        prev = levels[-1]
-        levels.append(
-            [sum(rows[a][b] * prev[b] for b in range(width)) for a in range(width + 1)]
-        )
-    return BratteliPrefix(levels, matrices, unital=True)
+    return _chain(lambda w: _unit_rows(w, w - 1) + [[1] * w, [0] * (w - 1) + [2]])
 
 
 def _doubling_tail_chain() -> BratteliPrefix:
-    levels = [[1]]
-    matrices = []
-    for i in range(_GENERAL_DEPTH):
-        width = i + 1
-        rows = [[1 if b == j else 0 for b in range(width)] for j in range(width)]
-        rows.append([0] * (width - 1) + [2])
-        matrices.append(rows)
-        prev = levels[-1]
-        levels.append(
-            [sum(rows[a][b] * prev[b] for b in range(width)) for a in range(width + 1)]
-        )
-    return BratteliPrefix(levels, matrices, unital=True)
+    return _chain(lambda w: _unit_rows(w, w) + [[0] * (w - 1) + [2]])
 
 
 _BUILDERS = {

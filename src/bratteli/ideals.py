@@ -35,7 +35,7 @@ from .rfd import RfdWitness, validate_witness
 DEFAULT_WIDTH_CAP = 16
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IdealProfile:
     """Per-level absorbed-vertex sets of a closed two-sided ideal."""
 
@@ -218,7 +218,7 @@ def enumerate_ideals(prefix: BratteliPrefix, max_width: int | None = None) -> li
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PrimitiveIdeal:
     """Kernel profile of the finite-dimensional representation on one
     stable line, labeled by the constant matrix size it carries."""
@@ -247,7 +247,7 @@ def primitive_profiles(prefix: BratteliPrefix, witness: RfdWitness) -> list[Prim
     ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SeedEvidence:
     level: int
     vertex: int
@@ -262,7 +262,7 @@ class SeedEvidence:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class JustInfiniteEvidence:
     depth: int
     seeds: tuple[SeedEvidence, ...]

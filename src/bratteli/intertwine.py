@@ -54,7 +54,7 @@ def map_distance(f: StochasticAffineMap, g: StochasticAffineMap, metric: str = "
     return best
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MapSequence:
     """Chained connecting maps of one inverse system of simplices."""
 
@@ -93,7 +93,7 @@ def compose_range(seq: MapSequence, i: int, j: int) -> StochasticAffineMap:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TailBound:
     """Rule bounding the gap series beyond the computed prefix."""
 
@@ -125,7 +125,7 @@ class TailBound:
         return TailBound("zero")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IntertwiningData:
     top: MapSequence
     bottom: MapSequence
@@ -148,7 +148,7 @@ class IntertwiningData:
         return self.rho is not None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GapSeries:
     """Exact defect values of an intertwining, with l1 partial sums.
 
@@ -206,7 +206,7 @@ def gap_series(data: IntertwiningData, count: int | None = None) -> GapSeries:
     return GapSeries(metric, gaps, extra, tuple(sums), certificate)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LimitEstimate:
     point: SimplexPoint
     error_bound: Fraction

@@ -16,7 +16,13 @@ from .diagram import TriangularSpec, characteristic_sequence
 from .errors import BratteliError, InsufficientPrefixError
 
 
-@dataclass(frozen=True, slots=True)
+def _as_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BratteliError(f"expected an integer, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
 class K0Element:
     """An integer-sequence prefix, optionally asserting the recurrence from
     a given index onward."""
@@ -25,7 +31,7 @@ class K0Element:
     eventual_from: int | None = None
 
     def __init__(self, prefix: Iterable[int], eventual_from: int | None = None) -> None:
-        p = tuple(int(x) for x in prefix)
+        p = tuple(_as_int(x) for x in prefix)
         if not p:
             raise BratteliError("an element needs at least one entry")
         if eventual_from is not None and not 0 <= eventual_from < len(p):
@@ -38,7 +44,7 @@ def recurrence_check(spec: TriangularSpec, x: Sequence[int]) -> int | None:
     """Smallest index from which x_{n+1} = sum_j m_j^(n) x_j holds through
     the prefix; None when even the final step fails.  Prefixes of length
     less than 2 have no checkable step and return 0 vacuously."""
-    xs = [int(v) for v in x]
+    xs = [_as_int(v) for v in x]
     if not xs:
         raise BratteliError("empty sequence")
     steps = len(xs) - 1
@@ -60,11 +66,11 @@ def recurrence_check(spec: TriangularSpec, x: Sequence[int]) -> int | None:
 
 def positivity_check(x: K0Element | Sequence[int]) -> bool:
     """Pointwise non-negativity of the prefix (the inherited order)."""
-    entries = x.prefix if isinstance(x, K0Element) else tuple(int(v) for v in x)
+    entries = x.prefix if isinstance(x, K0Element) else tuple(_as_int(v) for v in x)
     return all(v >= 0 for v in entries)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ProjectionWitness:
     index: int
     element: K0Element
@@ -81,7 +87,7 @@ def nondegeneracy_witness(
     indicator of f there and lets the recurrence force the rest; this always
     succeeds on triangular specs.
     """
-    idx = sorted(set(int(i) for i in indices))
+    idx = sorted(set(_as_int(i) for i in indices))
     if not idx:
         raise BratteliError("need at least one coordinate index")
     if idx[0] < 0:

@@ -77,7 +77,7 @@ PREFIX_CAVEAT = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RfdBlocks:
     """The six blocks of one connecting matrix under a witness split."""
 
@@ -89,7 +89,7 @@ class RfdBlocks:
     a32: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RfdWitness:
     """Certificate that a prefix is consistent with the block structure.
 
@@ -105,7 +105,7 @@ class RfdWitness:
     permutations: tuple[tuple[int, ...], ...] | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RfdResult:
     consistent: bool
     ji: bool

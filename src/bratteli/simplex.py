@@ -24,7 +24,7 @@ def _as_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SimplexPoint:
     """A point of a standard simplex in exact barycentric coordinates."""
 
@@ -103,7 +103,7 @@ def _vertex_columns(n: int) -> list[tuple[tuple[int, ...], int]]:
     return [((0,) * j + (1,) + (0,) * (n - 1 - j), 1) for j in range(n)]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StochasticAffineMap:
     """Affine map between simplices given by a column-stochastic matrix.
 

@@ -29,7 +29,7 @@ _SCAN_CAP = 10**7
 _N0_SCAN_CAP = 10**6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TailRule:
     """Continuation of a weight sequence beyond its explicit head."""
 
@@ -58,7 +58,7 @@ class TailRule:
         return TailRule("custom", fn=fn)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StationarySpec:
     """Non-negative weight sequence t_0, t_1, ... defining stationary targets.
 
@@ -180,14 +180,24 @@ class TargetSequence:
     def map_sequence(self, count: int, metric: str = "l1") -> MapSequence:
         return MapSequence([self.connecting_map(n) for n in range(count)], metric)
 
+    def incoherent_levels(self, count: int) -> tuple[int, ...]:
+        """Levels n in [stationary_from, count) where f_n(xi^(n+1)) != xi^(n).
+
+        f_n fixes the first n+1 vertices and sends vertex n+1 to xi^(n), so
+        this identity is the whole of f_n o g_{n+1} = g_n for the cylinder
+        maps g_n onto the levels.
+        """
+        if self.stationary_from is None:
+            raise BratteliError("coherence needs a declared stationary range")
+        return tuple(
+            n
+            for n in range(self.stationary_from, count)
+            if self.connecting_map(n).apply(self.point(n + 1)) != self.point(n)
+        )
+
     def check_coherence(self, count: int) -> bool:
         """Exact check of f_n(xi^(n+1)) = xi^(n) on the promised range."""
-        if self.stationary_from is None:
-            return False
-        for n in range(self.stationary_from, count):
-            if self.connecting_map(n).apply(self.point(n + 1)) != self.point(n):
-                return False
-        return True
+        return self.stationary_from is not None and not self.incoherent_levels(count)
 
 
 def approximate_on_simplex(
@@ -236,7 +246,7 @@ def approximate_on_simplex(
     raise BratteliError(f"no approximation found within denominator cap {scan_cap}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LevelSynthesis:
     """Everything chosen and certified at one synthesis level."""
 
@@ -251,7 +261,7 @@ class LevelSynthesis:
     epsilon: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SynthesisCertificate:
     levels: tuple[LevelSynthesis, ...]
 
@@ -298,11 +308,6 @@ def synthesize_level(
     return _level_from_ell(ks, ell)
 
 
-def _require_k0(k0) -> None:
-    if not isinstance(k0, int) or isinstance(k0, bool) or k0 < 1:
-        raise BratteliError("k0 must be a positive integer")
-
-
 def synthesize(
     targets: TargetSequence,
     count: int,
@@ -315,7 +320,8 @@ def synthesize(
     just-infinite block structure; each level's realized point is within
     2^-n of the target in l1 (strictly), with the squared-l2 gap below 4^-n.
     """
-    _require_k0(k0)
+    if not isinstance(k0, int) or isinstance(k0, bool) or k0 < 1:
+        raise BratteliError("k0 must be a positive integer")
     if count < 0:
         raise BratteliError("level count must be non-negative")
     ks = [k0]
@@ -338,39 +344,7 @@ def synthesize(
     return TriangularSpec(k0, mvectors), SynthesisCertificate(tuple(records))
 
 
-def synthesized_generator(
-    targets: TargetSequence,
-    k0: int = 1,
-    exact: bool = False,
-    kind: str = "synthesized",
-) -> "DiagramGenerator":
-    """Lazy diagram rule driven by a target sequence.
-
-    Level construction is deterministic and prefix-stable (the level-n choice
-    depends only on earlier levels), so the cache below is unobservable.
-    """
-    from .diagram import DiagramGenerator
-
-    _require_k0(k0)
-    cache: dict[int, tuple[int, ...]] = {}
-
-    def rule(n: int) -> tuple[int, ...]:
-        if n not in cache:
-            spec, _ = synthesize(targets, n, k0=k0, exact=exact)
-            cache.update(enumerate(spec.mvectors))
-        return cache[n]
-
-    # every synthesized multiplicity is scale * l_j / k_j with l_j >= 1
-    return DiagramGenerator(kind, k0, rule, positivity_guaranteed=True)
-
-
-def stationary_generator(
-    weights: StationarySpec, k0: int = 1, exact: bool = True
-) -> "DiagramGenerator":
-    return synthesized_generator(weights.targets(), k0=k0, exact=exact, kind="stationary")
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Classification:
     """Shape of the limit simplex of a stationary family."""
 
@@ -411,51 +385,3 @@ def classify_stationary(t: StationarySpec, depth: int = 32) -> Classification:
         total = 1 / (1 - tail.ratio)  # sum of q^j from j = 0
     coeffs = tuple(t.value(j) / total for j in range(depth + 1))
     return Classification("non-bauer", e_inf=coeffs, total=total)
-
-
-@dataclass(frozen=True, slots=True)
-class GCheck:
-    level: int
-    vertex: str
-    ok: bool
-
-
-@dataclass(frozen=True, slots=True)
-class GReport:
-    checks: tuple[GCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failing_levels(self) -> tuple[int, ...]:
-        return tuple(sorted({c.level for c in self.checks if not c.ok}))
-
-
-def verify_g_consistency(targets: TargetSequence, count: int, vertex_budget: int) -> GReport:
-    """Exact commutation check of the cylinder maps onto the levels.
-
-    g_n sends vertex j to the j-th level vertex when j <= n and to the
-    target point otherwise (including the compactifying vertex, labeled
-    "inf"); the check verifies f_n o g_{n+1} = g_n on vertices
-    e_0..e_{vertex_budget} and "inf" for each level in range.
-    """
-    start = targets.stationary_from
-    if start is None:
-        raise BratteliError("g-consistency needs a declared stationary range")
-    checks: list[GCheck] = []
-
-    def g(n: int, j: int | None) -> SimplexPoint:
-        if j is not None and j <= n:
-            return SimplexPoint.vertex(n + 1, j)
-        return targets.point(n)
-
-    for n in range(start, count):
-        f_n = targets.connecting_map(n)
-        labels: list[tuple[str, int | None]] = [(str(j), j) for j in range(vertex_budget + 1)]
-        labels.append(("inf", None))
-        for label, j in labels:
-            lhs = f_n.apply(g(n + 1, j))
-            checks.append(GCheck(n, label, lhs == g(n, j)))
-    return GReport(tuple(checks))

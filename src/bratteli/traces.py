@@ -128,7 +128,7 @@ def limit_trace_restriction(t: Sequence, n: int) -> SimplexPoint:
     return SimplexPoint.normalized(head)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TraceLabel:
     """Classification of an extremal-trace descriptor.
 

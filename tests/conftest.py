@@ -137,6 +137,33 @@ def reference_synthesis(targets, count: int, k0: int, exact: bool, reduced: bool
     return ks, records
 
 
+def reference_g_failing_levels(targets, count: int, vertex_budget: int) -> tuple[int, ...]:
+    """Oracle: the levels where the cylinder maps fail to commute.
+
+    g_n sends vertex j to the j-th level vertex when j <= n and to the
+    target point otherwise (including the compactifying vertex, labeled
+    "inf"); the check verifies f_n o g_{n+1} = g_n on vertices
+    e_0..e_{vertex_budget} and "inf" for each level in
+    [stationary_from, count).
+    """
+    start = targets.stationary_from
+    if start is None:
+        raise BratteliError("g-consistency needs a declared stationary range")
+    failing = set()
+
+    def g(n: int, j: int | None) -> SimplexPoint:
+        if j is not None and j <= n:
+            return SimplexPoint.vertex(n + 1, j)
+        return targets.point(n)
+
+    for n in range(start, count):
+        f_n = targets.connecting_map(n)
+        for j in [*range(vertex_budget + 1), None]:  # None is "inf"
+            if f_n.apply(g(n + 1, j)) != g(n, j):
+                failing.add(n)
+    return tuple(sorted(failing))
+
+
 def random_unital_step(rng: random.Random):
     cols = rng.randrange(1, 5)
     rows = rng.randrange(1, 6)

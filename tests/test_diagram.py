@@ -4,7 +4,6 @@ import pytest
 
 from bratteli import (
     BratteliPrefix,
-    DiagramGenerator,
     DimensionVector,
     InsufficientPrefixError,
     MultiplicityMatrix,
@@ -129,20 +128,3 @@ class TestValidate:
             (1, "shape mismatch", "A_1 is 2x2, expected 3x2"),
             (2, "domination", "A_2 u_2 = (14, 2) exceeds u_3 = (1, 0)"),
         )
-
-
-class TestGenerator:
-    def test_constant_ones_matches_spec(self):
-        gen = DiagramGenerator.constant_ones(1)
-        assert gen.spec(4).mvectors == all_ones_spec(4).mvectors
-        assert gen.prefix(4) == embed_triangular(all_ones_spec(4), 4)
-
-    def test_deterministic(self):
-        gen = DiagramGenerator.constant_ones(2)
-        assert gen.prefix(5) == gen.prefix(5)
-        assert gen.mvector(3) == gen.mvector(3)
-
-    def test_explicit_bounds(self):
-        gen = DiagramGenerator.explicit(all_ones_spec(3))
-        with pytest.raises(InsufficientPrefixError):
-            gen.mvector(3)

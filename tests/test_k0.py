@@ -87,6 +87,27 @@ class TestNondegeneracyWitness:
             nondegeneracy_witness(ones12, [3], 2)
 
 
+class TestIntegerEntries:
+    """Non-integer entries are rejected by name, never truncated."""
+
+    @pytest.mark.parametrize("prefix, bad", [([1.5, 2.9], "1.5"), ([True, "3"], "True")])
+    def test_element(self, prefix, bad):
+        with pytest.raises(BratteliError, match=f"^expected an integer, got {bad}$"):
+            K0Element(prefix)
+
+    def test_recurrence_check(self, ones12):
+        with pytest.raises(BratteliError, match="^expected an integer, got 1.9$"):
+            recurrence_check(ones12, [1, 1.9, 2, 4.2])
+
+    def test_positivity_check(self):
+        with pytest.raises(BratteliError, match="^expected an integer, got -0.5$"):
+            positivity_check([-0.5, 1])
+
+    def test_nondegeneracy_witness(self, ones12):
+        with pytest.raises(BratteliError, match="^expected an integer, got 0.7$"):
+            nondegeneracy_witness(ones12, [0.7, 1.2], 4)
+
+
 class TestClosureUnderAddition:
     def test_sum_holds_from_max_of_starts(self):
         rng = random.Random(31)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bratteli import (
@@ -18,6 +23,7 @@ from bratteli import (
     stationary_targets,
     zeta,
 )
+import bratteli
 from bratteli.diagram import MultiplicityMatrix
 
 
@@ -199,3 +205,21 @@ def test_stationary_targets_scale_invariance(data):
     b = StationarySpec([factor * x for x in head])
     for n in range(len(head)):
         assert stationary_targets(a, n) == stationary_targets(b, n)
+
+
+def _package_dataclasses() -> list[type]:
+    found = set()
+    for info in pkgutil.iter_modules(bratteli.__path__, "bratteli."):
+        module = importlib.import_module(info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                found.add(cls)
+    return sorted(found, key=lambda c: c.__qualname__)
+
+
+@pytest.mark.parametrize("cls", _package_dataclasses(), ids=lambda c: c.__qualname__)
+def test_assigning_any_name_is_a_frozen_error(cls):
+    obj = object.__new__(cls)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.not_a_field = 1
+

@@ -21,13 +21,17 @@ from bratteli import (
     stationary_targets,
     synthesize,
     synthesize_level,
-    verify_g_consistency,
     zeta,
 )
 from bratteli import synthesis
 from bratteli.cli import run
 
-from conftest import reference_approximation, reference_level, reference_synthesis
+from conftest import (
+    reference_approximation,
+    reference_g_failing_levels,
+    reference_level,
+    reference_synthesis,
+)
 
 
 def halving() -> StationarySpec:
@@ -212,6 +216,29 @@ class TestSynthesize:
                 assert level.zeta == ref_zeta and level.gap_l1 == ref_gap_l1 == 0
             assert all(k <= r for k, r in zip(ks, ref_ks))
 
+    @pytest.mark.parametrize(
+        "weights, exact",
+        [(halving(), True), (StationarySpec([F(1, (j + 1) ** 2) for j in range(9)]), False)],
+        ids=["halving-exact", "inverse-squares-approximate"],
+    )
+    def test_prefix_stable(self, weights, exact):
+        # level n depends only on the levels before it
+        targets = weights.targets()
+        long, _ = synthesize(targets, 8, exact=exact)
+        short, _ = synthesize(targets, 6, exact=exact)
+        assert long.mvectors[:7] == short.mvectors
+
+    def test_exact_spec_maps_carry_targets_exactly(self):
+        # induced maps of the synthesized diagram reproduce the stationary
+        # identity, not just the target maps built from xi directly
+        from bratteli import level_maps
+
+        targets = halving().targets()
+        spec, _ = synthesize(targets, 7, exact=True)
+        maps = level_maps(embed_triangular(spec, 7))
+        for n in range(6):
+            assert maps[n].apply(targets.point(n + 1)) == targets.point(n)
+
     def test_proportional_weights_give_identical_targets(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -338,20 +365,12 @@ class TestMinimalScale:
 class TestInputChecks:
     @pytest.mark.parametrize("k0", [0, -2, True, 1.5, "1"])
     def test_bad_k0_rejected_before_any_level(self, monkeypatch, k0):
-        from bratteli import stationary_generator, synthesized_generator
-
         def no_level(*_args, **_kwargs):
             raise AssertionError("a level was built")
 
         monkeypatch.setattr(synthesis, "approximate_on_simplex", no_level)
-        targets = halving().targets()
-        for call in (
-            lambda: synthesize(targets, 3, k0=k0),
-            lambda: synthesized_generator(targets, k0=k0),
-            lambda: stationary_generator(halving(), k0=k0),
-        ):
-            with pytest.raises(BratteliError, match=r"^k0 must be a positive integer$"):
-                call()
+        with pytest.raises(BratteliError, match=r"^k0 must be a positive integer$"):
+            synthesize(halving().targets(), 3, k0=k0)
 
     def test_negative_level_count_rejected(self):
         with pytest.raises(BratteliError, match=r"^level count must be non-negative$"):
@@ -379,38 +398,6 @@ class TestInputChecks:
         assert captured.err == f"bratteli: {message}\n"
 
 
-class TestGenerators:
-    def test_stationary_generator_matches_full_synthesis(self):
-        from bratteli import stationary_generator
-
-        gen = stationary_generator(halving(), exact=True)
-        assert gen.kind == "stationary"
-        assert gen.positivity_guaranteed
-        spec, _ = synthesize(halving().targets(), 6, exact=True)
-        assert gen.spec(7).mvectors == spec.mvectors
-        assert gen.prefix(4) == gen.prefix(4)  # deterministic
-
-    def test_synthesized_generator_prefix_stability(self):
-        from bratteli import synthesized_generator
-
-        weights = StationarySpec([F(1, (j + 1) ** 2) for j in range(9)])
-        gen = synthesized_generator(weights.targets())
-        early = gen.mvector(2)
-        spec, _ = synthesize(weights.targets(), 8)
-        assert spec.mvectors[2] == early
-
-    def test_exact_spec_maps_carry_targets_exactly(self):
-        # induced maps of the synthesized diagram reproduce the stationary
-        # identity, not just the target maps built from xi directly
-        from bratteli import level_maps
-
-        targets = halving().targets()
-        spec, _ = synthesize(targets, 7, exact=True)
-        maps = level_maps(embed_triangular(spec, 7))
-        for n in range(6):
-            assert maps[n].apply(targets.point(n + 1)) == targets.point(n)
-
-
 class TestClassify:
     def test_size_weights_diverge(self, ones12):
         assert classify_stationary(StationarySpec((), TailRule.equal_to_k(ones12))).verdict == "bauer"
@@ -435,22 +422,48 @@ class TestClassify:
 
 
 class TestGConsistency:
+    """`incoherent_levels` against the cylinder-map check it replaced."""
+
     def test_stationary_weights_always_commute(self):
-        report = verify_g_consistency(halving().targets(), 6, 8)
-        assert report.passed
-        assert len(report.checks) == 6 * 10
+        assert halving().targets().incoherent_levels(6) == ()
+        assert reference_g_failing_levels(halving().targets(), 6, 8) == ()
 
     def test_single_level_passes_trivially(self):
-        report = verify_g_consistency(halving().targets(), 1, 3)
-        assert report.passed
-        assert len(report.checks) == 5  # vertices 0..3 plus the limit symbol
+        assert halving().targets().incoherent_levels(1) == ()
 
     def test_perturbation_is_located(self):
         targets = halving().targets()
         points = [targets.point(n) for n in range(8)]
         points[3] = SimplexPoint([F(1, 4)] * 4)
         perturbed = TargetSequence.explicit(points, stationary_from=0)
-        report = verify_g_consistency(perturbed, 7, 8)
-        assert not report.passed
-        assert 3 in report.failing_levels
-        assert set(report.failing_levels) == {2, 3}
+        assert perturbed.incoherent_levels(7) == (2, 3)
+        assert not perturbed.check_coherence(7)
+
+    def test_no_declared_range(self):
+        targets = TargetSequence.explicit([SimplexPoint([1]), SimplexPoint([F(1, 2)] * 2)])
+        with pytest.raises(BratteliError, match="stationary range"):
+            targets.incoherent_levels(1)
+        assert not targets.check_coherence(1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # stationary points with some levels replaced by random ones, so
+        # that coherent and incoherent levels both occur
+        depth = data.draw(st.integers(2, 7))
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=depth + 1, max_size=depth + 1))
+        weights[0] += 1
+        points = []
+        for n in range(depth + 1):
+            if data.draw(st.booleans()):
+                coords = data.draw(st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1))
+                coords[n] += 1
+            else:
+                coords = weights[: n + 1]
+            points.append(SimplexPoint.normalized(coords))
+        start = data.draw(st.integers(0, depth))
+        targets = TargetSequence.explicit(points, stationary_from=start)
+        budget = data.draw(st.integers(0, 9))
+        assert targets.incoherent_levels(depth) == reference_g_failing_levels(
+            targets, depth, budget
+        )
