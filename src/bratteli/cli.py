@@ -5,6 +5,16 @@ standard input).  Exit codes: 0 success / affirmative verdict, 2 negative
 verdict (violation, non-compact, failed evidence, ...), 1 usage or input
 error.  `--json` switches any command to a machine-readable report with
 rationals serialized as "p/q".
+
+Every verb is one row of the module-level table `_VERBS`: its help line, its
+arguments as data, and per action a compute function and a text renderer.
+A compute function loads its input, calls the library and returns the
+report object and the exit code; the report may hold fractions, points,
+profiles and diagrams, which `_jsonable` turns into JSON.  `run` builds the
+subparser of the invoked verb only (all of them just for help, usage and
+unknown-verb errors), then `_emit`, the one writer of stdout, prints the
+report as JSON or through the renderer.  `export` and `fixtures` accept
+`--json` and ignore it.
 """
 
 from __future__ import annotations
@@ -13,41 +23,27 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import fixtures as fixture_mod
 from .diagram import BratteliPrefix, TriangularSpec, embed_triangular
 from .dotexport import export_dot
 from .errors import BratteliError
-from .formats import (
-    Diagram,
-    emit_diagram,
-    fraction_from_str,
-    fraction_to_str,
-    parse_diagram,
-    parse_targets,
-)
+from .formats import Diagram, emit_diagram, fraction_from_str, fraction_to_str, parse_diagram, parse_targets
 from .ideals import (
-    IdealProfile,
-    close,
-    enumerate_ideals,
-    is_compact,
-    just_infinite_evidence,
-    primitive_profiles,
-    profile_from_last_level,
-    quotient,
+    IdealProfile, close, enumerate_ideals, is_compact, just_infinite_evidence, primitive_profiles,
+    profile_from_last_level, quotient,
 )
 from .intertwine import IntertwiningData, MapSequence, TailBound, gap_series, limit_vertex_estimate
 from .k0 import K0Element, nondegeneracy_witness, positivity_check, recurrence_check
 from .rfd import check_rfd, check_rfd_ji
 from .simplex import SimplexPoint
-from .synthesis import (
-    StationarySpec,
-    TailRule,
-    TargetSequence,
-    classify_stationary,
-    synthesize,
-)
+from .synthesis import StationarySpec, TailRule, TargetSequence, classify_stationary, synthesize
 from .traces import label_trace, level_maps, limit_trace_restriction, push_point, zeta
+
+# `bratteli -h` shows the first two paragraphs (none under python -OO)
+_DESCRIPTION = "\n\n".join((__doc__ or "").split("\n\n")[:2])
 
 
 class _UsageError(Exception):
@@ -57,6 +53,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise _UsageError(message)
+
+
+# --- input --------------------------------------------------------------------
 
 
 def _read_text(path: str) -> str:
@@ -72,18 +71,33 @@ def _load_diagram(path: str) -> Diagram:
 
 def _as_prefix(diagram: Diagram, depth: int | None) -> BratteliPrefix:
     if isinstance(diagram, TriangularSpec):
-        top = diagram.levels_defined if depth is None else depth
-        return embed_triangular(diagram, top)
-    prefix = diagram
-    if depth is not None:
-        prefix = prefix.truncate(depth + 1)
-    return prefix
+        return embed_triangular(diagram, diagram.levels_defined if depth is None else depth)
+    return diagram if depth is None else diagram.truncate(depth + 1)
 
 
 def _require_triangular(diagram: Diagram) -> TriangularSpec:
     if not isinstance(diagram, TriangularSpec):
         raise BratteliError("this command needs a triangular-format diagram")
     return diagram
+
+
+def _require(value, flag: str):
+    if value is None:
+        raise BratteliError(f"missing required option {flag}")
+    return value
+
+
+def _prefix(args) -> BratteliPrefix:
+    """The file argument as a prefix, embedded or truncated to --depth."""
+    return _as_prefix(_load_diagram(_require(args.file, "file")), args.depth)
+
+
+def _triangular(args) -> TriangularSpec:
+    return _require_triangular(_load_diagram(_require(args.file, "file")))
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def _parse_seeds(text: str) -> list[tuple[int, int]]:
@@ -127,7 +141,6 @@ def _parse_profile(prefix: BratteliPrefix, args) -> IdealProfile:
 
 def _parse_stationary(rule: str) -> StationarySpec:
     kind, _, rest = rule.partition(":")
-    head: list[Fraction] = []
     if kind == "list":
         body, _, cont = rest.partition(";")
         head = [fraction_from_str(x) for x in body.split(",") if x.strip()]
@@ -149,37 +162,8 @@ def _parse_stationary(rule: str) -> StationarySpec:
     raise BratteliError(f"unknown stationary rule {rule!r}")
 
 
-def _point_str(point: SimplexPoint) -> str:
-    return "(" + ",".join(point.common_denominator_strings()) + ")"
-
-
-def _point_json(point: SimplexPoint) -> list[str]:
-    return [fraction_to_str(c) for c in point.coords]
-
-
-def _profile_json(profile: IdealProfile) -> list[list[int]]:
-    return [list(level) for level in profile.T]
-
-
-def _emit(args, obj: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(obj, sort_keys=True))
-    elif human:
-        print(human)
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise BratteliError(f"missing required option {flag}")
-    return value
-
-
 def _parse_point(text: str) -> SimplexPoint:
     return SimplexPoint([fraction_from_str(c) for c in text.split(",")])
-
-
-def _parse_family(text: str) -> list[SimplexPoint]:
-    return [_parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
 def _map_sequence_from_file(path: str, metric: str) -> MapSequence:
@@ -197,244 +181,158 @@ def _map_sequence_from_file(path: str, metric: str) -> MapSequence:
     return MapSequence(level_maps(prefix), metric)
 
 
-def _parse_tail(text: str | None) -> TailBound | None:
-    if text is None:
-        return None
-    kind, _, val = text.partition(":")
-    if kind == "geometric":
-        return TailBound.geometric(fraction_from_str(val))
-    if kind == "zero":
-        return TailBound.zero()
-    raise BratteliError(f"unknown tail bound {text!r}")
-
-
-# --- subcommand handlers ------------------------------------------------------
-
-
-def _cmd_check_rfd(args) -> int:
-    prefix = _as_prefix(_load_diagram(args.file), args.depth)
-    checker = check_rfd_ji if args.ji else check_rfd
-    result = checker(prefix, mode=args.mode)
-    kind = "RFD-JI" if args.ji else "RFD"
-    if result.consistent:
-        w = result.witness
-        obj = {
-            "command": "check-rfd",
-            "kind": kind,
-            "mode": args.mode,
-            "consistent": True,
-            "r": list(w.r),
-            "kseq": list(w.kseq),
-            "permutations": [list(p) for p in w.permutations] if w.permutations else None,
-            "caveat": result.caveat,
-        }
-        _emit(args, obj, f"Consistent ({kind}, {args.mode} mode): r = {list(w.r)}\nnote: {result.caveat}")
-        return 0
-    obj = {
-        "command": "check-rfd",
-        "kind": kind,
-        "mode": args.mode,
-        "consistent": False,
-        "level": result.level,
-        "reason": result.reason,
-    }
-    _emit(args, obj, f"Violation ({kind}, {args.mode} mode) at level {result.level}: {result.reason}")
-    return 2
-
-
-def _cmd_ideals(args) -> int:
-    prefix = _as_prefix(_load_diagram(args.file), args.depth)
-    depth = prefix.depth
-    if args.action == "close":
-        if args.seeds is None:
-            raise BratteliError("close needs --seeds")
-        profile = close(prefix, _parse_seeds(args.seeds))
-        _emit(
-            args,
-            {"command": "ideals/close", "profile": _profile_json(profile)},
-            "\n".join(f"T_{n} = {set(t) if t else '{}'}" for n, t in enumerate(profile.T)),
-        )
-        return 0
-    if args.action == "quotient":
-        profile = _parse_profile(prefix, args)
-        q = quotient(prefix, profile)
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_dot(q, name="quotient"))
-        if args.json:
-            _emit(args, {"command": "ideals/quotient", "diagram": json.loads(emit_diagram(q))}, "")
-        else:
-            sys.stdout.write(emit_diagram(q))
-        return 0
-    if args.action == "enumerate":
-        profiles = enumerate_ideals(prefix)
-        obj = {
-            "command": "ideals/enumerate",
-            "count": len(profiles),
-            "profiles": [_profile_json(p) for p in profiles],
-        }
-        human = [f"{len(profiles)} ideals at depth {depth}"]
-        human += [str([list(t) for t in p.T]) for p in profiles]
-        _emit(args, obj, "\n".join(human))
-        return 0
-    if args.action == "primitive":
-        result = check_rfd_ji(prefix, mode="strict")
-        if not result.consistent:
-            raise BratteliError(
-                f"diagram is not RFD-JI consistent (level {result.level}: {result.reason})"
-            )
-        prims = primitive_profiles(prefix, result.witness)
-        obj = {
-            "command": "ideals/primitive",
-            "note": "the zero ideal is primitive as well",
-            "profiles": [
-                {"line": p.line, "k": p.k, "profile": _profile_json(p.profile)} for p in prims
-            ],
-        }
-        human = [f"{len(prims)} primitive kernel profiles (plus the zero ideal)"]
-        human += [f"line {p.line}: quotient size {p.k}" for p in prims]
-        _emit(args, obj, "\n".join(human))
-        return 0
-    if args.action == "compact":
-        profile = _parse_profile(prefix, args)
-        verdict = is_compact(prefix, profile)
-        word = "compact" if verdict else "not compact"
-        _emit(
-            args,
-            {"command": "ideals/compact", "compact": verdict, "depth": depth},
-            f"{word} at depth {depth}",
-        )
-        return 0 if verdict else 2
-    if args.action == "ji-evidence":
-        result = check_rfd_ji(prefix, mode="strict")
-        rfd = result if result.consistent else check_rfd(prefix, mode="strict")
-        if not rfd.consistent:
-            raise BratteliError(
-                f"diagram is not RFD consistent (level {rfd.level}: {rfd.reason})"
-            )
-        report = just_infinite_evidence(prefix, rfd.witness)
-        obj = {
-            "command": "ideals/ji-evidence",
-            "depth": report.depth,
-            "passed": report.passed,
-            "failures": [
-                {"level": s.level, "vertex": s.vertex} for s in report.failures
-            ],
-        }
-        if report.passed:
-            _emit(args, obj, f"evidence at depth {report.depth}: every seed quotient stabilizes")
-            return 0
-        failing = ", ".join(f"({s.level},{s.vertex})" for s in report.failures)
-        _emit(args, obj, f"evidence at depth {report.depth}: FAILS for seeds {failing}")
-        return 2
-    raise BratteliError(f"unknown ideals action {args.action!r}")
-
-
-def _cmd_traces(args) -> int:
-    if args.action == "zeta":
-        spec = _require_triangular(_load_diagram(_require(args.file, "file")))
-        point = zeta(spec, _require(args.level, "--level"))
-        _emit(
-            args,
-            {"command": "traces/zeta", "level": args.level, "point": _point_json(point)},
-            _point_str(point),
-        )
-        return 0
-    if args.action == "push":
-        prefix = _as_prefix(_load_diagram(_require(args.file, "file")), args.depth)
-        point = push_point(
-            prefix,
-            _parse_point(_require(args.point, "--point")),
-            _require(args.src, "--from-level"),
-            _require(args.dst, "--to-level"),
-        )
-        _emit(
-            args,
-            {"command": "traces/push", "point": _point_json(point)},
-            _point_str(point),
-        )
-        return 0
-    if args.action == "limit-restrict":
-        _require(args.level, "--level")
-        if args.stationary:
-            spec = _parse_stationary(args.stationary)
-            weights = [spec.value(j) for j in range(args.level + 1)]
-        elif args.t:
-            weights = [fraction_from_str(x) for x in args.t.split(",")]
-        elif args.file:
-            tri = _require_triangular(_load_diagram(args.file))
-            spec = StationarySpec((), TailRule.equal_to_k(tri))
-            weights = [spec.value(j) for j in range(args.level + 1)]
-        else:
-            raise BratteliError("need --stationary, --t, or a triangular file")
-        point = limit_trace_restriction(weights, _require(args.level, "--level"))
-        _emit(
-            args,
-            {"command": "traces/limit-restrict", "level": args.level, "point": _point_json(point)},
-            _point_str(point),
-        )
-        return 0
-    if args.action == "label":
-        prefix = _as_prefix(_load_diagram(_require(args.file, "file")), args.depth)
-        result = check_rfd_ji(prefix, mode="strict")
-        if not result.consistent:
-            raise BratteliError("labeling needs an RFD-JI-consistent diagram")
-        if args.line is None and args.family is None:
-            raise BratteliError("need --line or --family")
-        descriptor = args.line if args.line is not None else _parse_family(args.family)
-        label = label_trace(prefix, result.witness, descriptor)
-        obj = {"command": "traces/label", "kind": label.kind, "k": label.k}
-        human = label.kind if label.k is None else f"{label.kind} (k = {label.k})"
-        _emit(args, obj, human)
-        return 0
-    raise BratteliError(f"unknown traces action {args.action!r}")
-
-
-def _cmd_intertwine(args) -> int:
+def _intertwining(args) -> IntertwiningData:
     top = _map_sequence_from_file(args.file_a, args.metric)
     bottom = _map_sequence_from_file(args.file_b, args.metric)
-    data = IntertwiningData(top, bottom, tail=_parse_tail(args.tail))
-    if args.action == "gaps":
-        series = gap_series(data)
-        obj = {
-            "command": "intertwine/gaps",
-            "metric": series.metric,
-            "gaps": [fraction_to_str(g) for g in series.gaps],
-            "partial_sums": [fraction_to_str(s) for s in series.partial_sums]
-            if series.partial_sums
-            else None,
-            "certificate": fraction_to_str(series.certificate)
-            if series.certificate is not None
-            else None,
-        }
-        lines = [
-            f"gap_{n} = {fraction_to_str(g)}" for n, g in enumerate(series.gaps)
-        ]
-        if series.certificate is not None:
-            lines.append(f"certificate (partial sum + tail) = {fraction_to_str(series.certificate)}")
-        else:
-            lines.append("no certificate (supply --tail for one)")
-        _emit(args, obj, "\n".join(lines))
-        return 0
-    if args.action == "estimate":
-        est = limit_vertex_estimate(data, args.level, args.vertex, args.est_depth)
-        obj = {
-            "command": "intertwine/estimate",
-            "point": _point_json(est.point),
-            "error_bound": fraction_to_str(est.error_bound),
-            "certified": est.certified,
-        }
-        _emit(
-            args,
-            obj,
-            f"{_point_str(est.point)}  error bound {fraction_to_str(est.error_bound)}"
-            + ("" if est.certified else " (within prefix only; no tail bound)"),
-        )
-        return 0
-    raise BratteliError(f"unknown intertwine action {args.action!r}")
+    if args.tail is None:
+        return IntertwiningData(top, bottom, tail=None)
+    kind, _, val = args.tail.partition(":")
+    if kind == "geometric":
+        return IntertwiningData(top, bottom, tail=TailBound.geometric(fraction_from_str(val)))
+    if kind == "zero":
+        return IntertwiningData(top, bottom, tail=TailBound.zero())
+    raise BratteliError(f"unknown tail bound {args.tail!r}")
 
 
-def _cmd_synthesize(args) -> int:
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+# --- compute: each returns (report, exit code) --------------------------------
+
+
+def _check_rfd(args):
+    result = (check_rfd_ji if args.ji else check_rfd)(_prefix(args), mode=args.mode)
+    kind = "RFD-JI" if args.ji else "RFD"
+    obj = {"command": "check-rfd", "kind": kind, "mode": args.mode, "consistent": result.consistent}
+    if not result.consistent:
+        obj.update(level=result.level, reason=result.reason)
+        return obj, 2
+    w = result.witness
+    obj.update(r=list(w.r), kseq=w.kseq, permutations=w.permutations or None, caveat=result.caveat)
+    return obj, 0
+
+
+def _ideals_close(args):
+    prefix = _prefix(args)
+    if args.seeds is None:
+        raise BratteliError("close needs --seeds")
+    return {"command": "ideals/close", "profile": close(prefix, _parse_seeds(args.seeds))}, 0
+
+
+def _ideals_quotient(args):
+    prefix = _prefix(args)
+    q = quotient(prefix, _parse_profile(prefix, args))
+    if args.dot:
+        _write(args.dot, export_dot(q, name="quotient"))
+    return {"command": "ideals/quotient", "diagram": q}, 0
+
+
+def _ideals_enumerate(args):
+    profiles = enumerate_ideals(_prefix(args))
+    return {"command": "ideals/enumerate", "count": len(profiles), "profiles": profiles}, 0
+
+
+def _ideals_primitive(args):
+    prefix = _prefix(args)
+    result = check_rfd_ji(prefix, mode="strict")
+    if not result.consistent:
+        raise BratteliError(f"diagram is not RFD-JI consistent (level {result.level}: {result.reason})")
+    prims = primitive_profiles(prefix, result.witness)
+    return {
+        "command": "ideals/primitive",
+        "note": "the zero ideal is primitive as well",
+        "profiles": [{"line": p.line, "k": p.k, "profile": p.profile} for p in prims],
+    }, 0
+
+
+def _ideals_compact(args):
+    prefix = _prefix(args)
+    verdict = is_compact(prefix, _parse_profile(prefix, args))
+    return {"command": "ideals/compact", "compact": verdict, "depth": prefix.depth}, 0 if verdict else 2
+
+
+def _ideals_ji_evidence(args):
+    prefix = _prefix(args)
+    result = check_rfd_ji(prefix, mode="strict")
+    rfd = result if result.consistent else check_rfd(prefix, mode="strict")
+    if not rfd.consistent:
+        raise BratteliError(f"diagram is not RFD consistent (level {rfd.level}: {rfd.reason})")
+    report = just_infinite_evidence(prefix, rfd.witness)
+    return {
+        "command": "ideals/ji-evidence",
+        "depth": report.depth,
+        "passed": report.passed,
+        "failures": [{"level": s.level, "vertex": s.vertex} for s in report.failures],
+    }, 0 if report.passed else 2
+
+
+def _traces_zeta(args):
+    point = zeta(_triangular(args), _require(args.level, "--level"))
+    return {"command": "traces/zeta", "level": args.level, "point": point}, 0
+
+
+def _traces_push(args):
+    prefix = _prefix(args)
+    point = _parse_point(_require(args.point, "--point"))
+    point = push_point(prefix, point, _require(args.src, "--from-level"), _require(args.dst, "--to-level"))
+    return {"command": "traces/push", "point": point}, 0
+
+
+def _traces_limit_restrict(args):
+    level = _require(args.level, "--level")
+    if args.stationary:
+        spec = _parse_stationary(args.stationary)
+        weights = [spec.value(j) for j in range(level + 1)]
+    elif args.t:
+        weights = [fraction_from_str(x) for x in args.t.split(",")]
+    elif args.file:
+        spec = StationarySpec((), TailRule.equal_to_k(_triangular(args)))
+        weights = [spec.value(j) for j in range(level + 1)]
+    else:
+        raise BratteliError("need --stationary, --t, or a triangular file")
+    point = limit_trace_restriction(weights, level)
+    return {"command": "traces/limit-restrict", "level": level, "point": point}, 0
+
+
+def _traces_label(args):
+    prefix = _prefix(args)
+    result = check_rfd_ji(prefix, mode="strict")
+    if not result.consistent:
+        raise BratteliError("labeling needs an RFD-JI-consistent diagram")
+    if args.line is None and args.family is None:
+        raise BratteliError("need --line or --family")
+    if args.line is not None:
+        descriptor = args.line
+    else:
+        descriptor = [_parse_point(chunk) for chunk in args.family.split(";") if chunk.strip()]
+    label = label_trace(prefix, result.witness, descriptor)
+    return {"command": "traces/label", "kind": label.kind, "k": label.k}, 0
+
+
+def _intertwine_gaps(args):
+    series = gap_series(_intertwining(args))
+    return {
+        "command": "intertwine/gaps",
+        "metric": series.metric,
+        "gaps": series.gaps,
+        "partial_sums": series.partial_sums or None,
+        "certificate": series.certificate,
+    }, 0
+
+
+def _intertwine_estimate(args):
+    est = limit_vertex_estimate(_intertwining(args), args.level, args.vertex, args.est_depth)
+    return {
+        "command": "intertwine/estimate",
+        "point": est.point,
+        "error_bound": est.error_bound,
+        "certified": est.certified,
+    }, 0
+
+
+def _synthesize(args):
     if args.stationary:
         targets = _parse_stationary(args.stationary).targets()
     elif args.targets:
@@ -442,219 +340,287 @@ def _cmd_synthesize(args) -> int:
     else:
         raise BratteliError("need --stationary or --targets")
     spec, cert = synthesize(targets, args.levels, k0=args.k0, exact=args.exact)
-    cert_obj = {
-        "levels": [
-            {
-                "level": l.level,
-                "ell": list(l.ell),
-                "mvector": list(l.mvector),
-                "k_next": l.k_next,
-                "xi": _point_json(l.xi),
-                "zeta": _point_json(l.zeta),
-                "gap_l1": fraction_to_str(l.gap_l1),
-                "gap_l2_squared": fraction_to_str(l.gap_l2sq),
-                "epsilon": fraction_to_str(l.epsilon),
-            }
-            for l in cert.levels
-        ]
-    }
+    levels = [
+        dict(level=l.level, ell=l.ell, mvector=l.mvector, k_next=l.k_next, xi=l.xi, zeta=l.zeta,
+             gap_l1=l.gap_l1, gap_l2_squared=l.gap_l2sq, epsilon=l.epsilon)
+        for l in cert.levels
+    ]
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump(cert_obj, fh, sort_keys=True)
+            json.dump({"levels": levels}, fh, sort_keys=True, default=_jsonable)
             fh.write("\n")
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "synthesize",
-                    "diagram": json.loads(emit_diagram(spec)),
-                    "certificate": cert_obj,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        sys.stdout.write(emit_diagram(spec))
-    return 0
+    return {"command": "synthesize", "diagram": spec, "certificate": {"levels": levels}}, 0
 
 
-def _cmd_classify(args) -> int:
-    spec = _parse_stationary(args.stationary)
-    result = classify_stationary(spec, depth=args.depth)
-    obj = {
+def _classify(args):
+    result = classify_stationary(_parse_stationary(args.stationary), depth=args.depth)
+    return {
         "command": "classify",
         "verdict": result.verdict,
-        "e_inf": [fraction_to_str(c) for c in result.e_inf] if result.e_inf else None,
-        "total": fraction_to_str(result.total) if result.total is not None else None,
-        "partial_sums": [fraction_to_str(s) for s in result.partial_sums]
-        if result.partial_sums
-        else None,
-    }
-    human = result.verdict
-    if result.e_inf:
-        shown = ",".join(fraction_to_str(c) for c in result.e_inf[:8])
-        human += f"; limit of extreme points has coefficients ({shown},...)"
-    _emit(args, obj, human)
-    return 0
+        "e_inf": result.e_inf or None,
+        "total": result.total,
+        "partial_sums": result.partial_sums or None,
+    }, 0
 
 
-def _cmd_k0(args) -> int:
-    if args.action == "check":
-        spec = _require_triangular(_load_diagram(_require(args.file, "file")))
-        xs = [int(v) for v in _require(args.x, "--x").split(",")]
-        start = recurrence_check(spec, xs)
-        obj = {"command": "k0/check", "holds_from": start}
-        if start is None:
-            _emit(args, obj, "recurrence never holds on this prefix")
-            return 2
-        _emit(args, obj, f"recurrence holds from index {start}")
-        return 0
-    if args.action == "witness":
-        spec = _require_triangular(_load_diagram(_require(args.file, "file")))
-        indices = [int(v) for v in _require(args.indices, "--indices").split(",")]
-        wits = nondegeneracy_witness(spec, indices, _require(args.depth, "--depth"))
-        obj = {
-            "command": "k0/witness",
-            "witnesses": [
-                {"index": w.index, "prefix": list(w.element.prefix)} for w in wits
-            ],
-        }
-        human = "\n".join(f"index {w.index}: {list(w.element.prefix)}" for w in wits)
-        _emit(args, obj, human)
-        return 0
-    if args.action == "positive":
-        xs = [int(v) for v in _require(args.x, "--x").split(",")]
-        verdict = positivity_check(K0Element(xs))
-        _emit(
-            args,
-            {"command": "k0/positive", "positive": verdict},
-            "positive" if verdict else "not positive",
-        )
-        return 0 if verdict else 2
-    raise BratteliError(f"unknown k0 action {args.action!r}")
+def _k0_check(args):
+    start = recurrence_check(_triangular(args), _ints(_require(args.x, "--x")))
+    return {"command": "k0/check", "holds_from": start}, 2 if start is None else 0
 
 
-def _cmd_export(args) -> int:
-    prefix = _as_prefix(_load_diagram(args.file), args.depth)
-    text = export_dot(prefix)
+def _k0_witness(args):
+    spec = _triangular(args)
+    indices = _ints(_require(args.indices, "--indices"))
+    wits = nondegeneracy_witness(spec, indices, _require(args.depth, "--depth"))
+    witnesses = [{"index": w.index, "prefix": list(w.element.prefix)} for w in wits]
+    return {"command": "k0/witness", "witnesses": witnesses}, 0
+
+
+def _k0_positive(args):
+    verdict = positivity_check(K0Element(_ints(_require(args.x, "--x"))))
+    return {"command": "k0/positive", "positive": verdict}, 0 if verdict else 2
+
+
+def _export(args):
+    text = export_dot(_prefix(args))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        _write(args.output, text)
+        text = ""
+    return {"text": text}, 0
 
 
-def _cmd_fixtures(args) -> int:
+def _fixtures(args):
     if args.list:
-        print("\n".join(fixture_mod.FIXTURE_NAMES))
-        return 0
+        return {"text": "\n".join(fixture_mod.FIXTURE_NAMES) + "\n"}, 0
     if not args.name:
         raise BratteliError("need a fixture name or --list")
-    sys.stdout.write(fixture_mod.fixtures(args.name))
-    return 0
+    return {"text": fixture_mod.fixtures(args.name)}, 0
 
 
-# --- argument wiring ----------------------------------------------------------
+# --- render: each returns the exact stdout text -------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="bratteli", description=__doc__)
+def _jsonable(value):
+    """The JSON form of the domain values a report may hold."""
+    if isinstance(value, Fraction):
+        return fraction_to_str(value)
+    if isinstance(value, SimplexPoint):
+        return [fraction_to_str(c) for c in value.coords]
+    if isinstance(value, IdealProfile):
+        return [list(level) for level in value.T]
+    if isinstance(value, (BratteliPrefix, TriangularSpec)):
+        return json.loads(emit_diagram(value))
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, default=_jsonable) + "\n"
+
+
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _point_str(point: SimplexPoint) -> str:
+    return "(" + ",".join(point.common_denominator_strings()) + ")"
+
+
+def _point_line(obj: dict) -> str:
+    return _point_str(obj["point"]) + "\n"
+
+
+def _diagram_text(obj: dict) -> str:
+    return emit_diagram(obj["diagram"])
+
+
+def _check_rfd_text(obj: dict) -> str:
+    how = f"{obj['kind']}, {obj['mode']} mode"
+    if obj["consistent"]:
+        return f"Consistent ({how}): r = {obj['r']}\nnote: {obj['caveat']}\n"
+    return f"Violation ({how}) at level {obj['level']}: {obj['reason']}\n"
+
+
+def _close_text(obj: dict) -> str:
+    return _lines(f"T_{n} = {set(t) if t else '{}'}" for n, t in enumerate(obj["profile"].T))
+
+
+def _enumerate_text(obj: dict) -> str:
+    profiles = obj["profiles"]  # never empty: the zero ideal is one
+    head = f"{obj['count']} ideals at depth {profiles[0].depth}"
+    return _lines([head] + [str([list(t) for t in p.T]) for p in profiles])
+
+
+def _primitive_text(obj: dict) -> str:
+    prims = obj["profiles"]
+    head = f"{len(prims)} primitive kernel profiles (plus the zero ideal)"
+    return _lines([head] + [f"line {p['line']}: quotient size {p['k']}" for p in prims])
+
+
+def _compact_text(obj: dict) -> str:
+    return ("" if obj["compact"] else "not ") + f"compact at depth {obj['depth']}\n"
+
+
+def _evidence_text(obj: dict) -> str:
+    if obj["passed"]:
+        return f"evidence at depth {obj['depth']}: every seed quotient stabilizes\n"
+    failing = ", ".join(f"({s['level']},{s['vertex']})" for s in obj["failures"])
+    return f"evidence at depth {obj['depth']}: FAILS for seeds {failing}\n"
+
+
+def _gaps_text(obj: dict) -> str:
+    lines = [f"gap_{n} = {fraction_to_str(g)}" for n, g in enumerate(obj["gaps"])]
+    if obj["certificate"] is None:
+        return _lines(lines + ["no certificate (supply --tail for one)"])
+    return _lines(lines + [f"certificate (partial sum + tail) = {fraction_to_str(obj['certificate'])}"])
+
+
+def _estimate_text(obj: dict) -> str:
+    note = "" if obj["certified"] else " (within prefix only; no tail bound)"
+    return f"{_point_str(obj['point'])}  error bound {fraction_to_str(obj['error_bound'])}{note}\n"
+
+
+def _classify_text(obj: dict) -> str:
+    if not obj["e_inf"]:
+        return obj["verdict"] + "\n"
+    shown = ",".join(fraction_to_str(c) for c in obj["e_inf"][:8])
+    return f"{obj['verdict']}; limit of extreme points has coefficients ({shown},...)\n"
+
+
+def _label_text(obj: dict) -> str:
+    return obj["kind"] + ("\n" if obj["k"] is None else f" (k = {obj['k']})\n")
+
+
+def _k0_check_text(obj: dict) -> str:
+    if obj["holds_from"] is None:
+        return "recurrence never holds on this prefix\n"
+    return f"recurrence holds from index {obj['holds_from']}\n"
+
+
+def _witness_text(obj: dict) -> str:
+    return _lines(f"index {w['index']}: {w['prefix']}" for w in obj["witnesses"])
+
+
+def _emit(obj: dict, render) -> None:
+    """The one writer of stdout."""
+    sys.stdout.write(render(obj))
+
+
+# --- the verb table -----------------------------------------------------------
+
+
+class _Verb(NamedTuple):
+    help: str
+    args: tuple  # (flags, options) pairs for add_argument; every verb also gets --json
+    actions: dict  # action name -> (compute, render); None names the one action of a plain verb
+    json: bool = True  # False: --json is accepted and ignored
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FILE, _OPTIONAL_FILE, _DEPTH = _arg("file"), _arg("file", nargs="?"), _arg("--depth", type=int)
+_TEXT = itemgetter("text")
+
+_VERBS = {
+    "check-rfd": _Verb(
+        "block-structure consistency of a diagram",
+        (_FILE, _arg("--ji", action="store_true", help="also require positivity blocks"),
+         _arg("--mode", choices=["strict", "perm"], default="strict"), _DEPTH),
+        {None: (_check_rfd, _check_rfd_text)},
+    ),
+    "ideals": _Verb(
+        "ideal profiles, quotients, and evidence",
+        (_FILE, _arg("--seeds", help='e.g. "1:0,2:3"'),
+         _arg("--profile", help="co-last-column | co-column:J | zero | full"),
+         _arg("--dot", help="write quotient diagram as DOT"), _DEPTH),
+        {
+            "close": (_ideals_close, _close_text),
+            "quotient": (_ideals_quotient, _diagram_text),
+            "enumerate": (_ideals_enumerate, _enumerate_text),
+            "primitive": (_ideals_primitive, _primitive_text),
+            "compact": (_ideals_compact, _compact_text),
+            "ji-evidence": (_ideals_ji_evidence, _evidence_text),
+        },
+    ),
+    "traces": _Verb(
+        "trace-simplex points and labels",
+        (_OPTIONAL_FILE, _arg("--level", type=int),
+         _arg("--point", help='barycentric coordinates "a/b,c/d,..."'),
+         _arg("--from-level", dest="src", type=int), _arg("--to-level", dest="dst", type=int),
+         _arg("--stationary"), _arg("--t", help="explicit weights, comma separated"),
+         _arg("--line", type=int), _arg("--family", help='points "1;1/2,1/2;..." level by level'), _DEPTH),
+        {
+            "zeta": (_traces_zeta, _point_line),
+            "push": (_traces_push, _point_line),
+            "limit-restrict": (_traces_limit_restrict, _point_line),
+            "label": (_traces_label, _label_text),
+        },
+    ),
+    "intertwine": _Verb(
+        "gap series and limit estimates",
+        (_arg("file_a"), _arg("file_b"), _arg("--tail", help="geometric:p/q or zero"),
+         _arg("--metric", choices=["l1", "l2"], default="l1"), _arg("--level", type=int, default=0),
+         _arg("--vertex", type=int, default=0), _arg("--depth", dest="est_depth", type=int, default=0)),
+        {"gaps": (_intertwine_gaps, _gaps_text), "estimate": (_intertwine_estimate, _estimate_text)},
+    ),
+    "synthesize": _Verb(
+        "build a diagram realizing targets",
+        (_arg("--stationary", help='e.g. "geometric:1/2"'), _arg("--targets", help="targets JSON file"),
+         _arg("--levels", type=int, required=True), _arg("--exact", action="store_true"),
+         _arg("--reduced", action="store_true", help="no effect: synthesis always uses the minimal scale"),
+         _arg("--k0", type=int, default=1), _arg("--certificate", help="write certificate JSON here")),
+        {None: (_synthesize, _diagram_text)},
+    ),
+    "classify": _Verb(
+        "limit-simplex shape of stationary weights",
+        (_arg("--stationary", required=True), _arg("--depth", type=int, default=32)),
+        {None: (_classify, _classify_text)},
+    ),
+    "k0": _Verb(
+        "dimension-group prefix computations",
+        (_OPTIONAL_FILE, _arg("--x", help="integer sequence, comma separated"),
+         _arg("--indices", help="coordinate set, comma separated"), _DEPTH),
+        {
+            "check": (_k0_check, _k0_check_text),
+            "witness": (_k0_witness, _witness_text),
+            "positive": (_k0_positive, lambda obj: "positive\n" if obj["positive"] else "not positive\n"),
+        },
+    ),
+    "export": _Verb(
+        "DOT rendering of a diagram",
+        (_FILE, _arg("-o", "--output"), _DEPTH),
+        {None: (_export, _TEXT)},
+        json=False,
+    ),
+    "fixtures": _Verb(
+        "built-in example diagrams",
+        (_arg("name", nargs="?"), _arg("--list", action="store_true")),
+        {None: (_fixtures, _TEXT)},
+        json=False,
+    ),
+}
+
+
+def _build_parser(names) -> _Parser:
+    parser = _Parser(prog="bratteli", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="verb")
-
-    p = sub.add_parser("check-rfd", help="block-structure consistency of a diagram")
-    p.add_argument("file")
-    p.add_argument("--ji", action="store_true", help="also require positivity blocks")
-    p.add_argument("--mode", choices=["strict", "perm"], default="strict")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check_rfd)
-
-    p = sub.add_parser("ideals", help="ideal profiles, quotients, and evidence")
-    p.add_argument("action", choices=["close", "quotient", "enumerate", "primitive", "compact", "ji-evidence"])
-    p.add_argument("file")
-    p.add_argument("--seeds", default=None, help='e.g. "1:0,2:3"')
-    p.add_argument("--profile", default=None, help="co-last-column | co-column:J | zero | full")
-    p.add_argument("--dot", default=None, help="write quotient diagram as DOT")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("traces", help="trace-simplex points and labels")
-    p.add_argument("action", choices=["zeta", "push", "limit-restrict", "label"])
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--point", default=None, help='barycentric coordinates "a/b,c/d,..."')
-    p.add_argument("--from-level", dest="src", type=int, default=None)
-    p.add_argument("--to-level", dest="dst", type=int, default=None)
-    p.add_argument("--stationary", default=None)
-    p.add_argument("--t", default=None, help="explicit weights, comma separated")
-    p.add_argument("--line", type=int, default=None)
-    p.add_argument("--family", default=None, help='points "1;1/2,1/2;..." level by level')
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_traces)
-
-    p = sub.add_parser("intertwine", help="gap series and limit estimates")
-    p.add_argument("action", choices=["gaps", "estimate"])
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--tail", default=None, help="geometric:p/q or zero")
-    p.add_argument("--metric", choices=["l1", "l2"], default="l1")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--depth", dest="est_depth", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_intertwine)
-
-    p = sub.add_parser("synthesize", help="build a diagram realizing targets")
-    p.add_argument("--stationary", default=None, help='e.g. "geometric:1/2"')
-    p.add_argument("--targets", default=None, help="targets JSON file")
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument(
-        "--reduced",
-        action="store_true",
-        help="no effect: synthesis always uses the minimal scale",
-    )
-    p.add_argument("--k0", type=int, default=1)
-    p.add_argument("--certificate", default=None, help="write certificate JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("classify", help="limit-simplex shape of stationary weights")
-    p.add_argument("--stationary", required=True)
-    p.add_argument("--depth", type=int, default=32)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("k0", help="dimension-group prefix computations")
-    p.add_argument("action", choices=["check", "witness", "positive"])
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--x", default=None, help="integer sequence, comma separated")
-    p.add_argument("--indices", default=None, help="coordinate set, comma separated")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_k0)
-
-    p = sub.add_parser("export", help="DOT rendering of a diagram")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("fixtures", help="built-in example diagrams")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fixtures)
-
+    for name in names:
+        verb = _VERBS[name]
+        p = sub.add_parser(name, help=verb.help)
+        if None not in verb.actions:
+            p.add_argument("action", choices=list(verb.actions))
+        for flags, options in verb.args:
+            p.add_argument(*flags, **options)
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    argv = list(argv)
+    # Only the invoked verb's subparser is built; help, usage and
+    # unknown-verb errors need all of them.
+    parser = _build_parser(argv[:1] if argv and argv[0] in _VERBS else _VERBS)
     try:
         args, extras = parser.parse_known_args(argv)
         # argparse cannot place an optional positional after flag arguments
@@ -669,14 +635,15 @@ def run(argv) -> int:
                 args.file = extras[0]
             else:
                 raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-        if not getattr(args, "verb", None):
+        if not args.verb:
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"bratteli: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # includes every BratteliError
+        verb = _VERBS[args.verb]
+        compute, render = verb.actions[getattr(args, "action", None)]
+        obj, code = compute(args)
+        _emit(obj, _json_text if args.json and verb.json else render)
+        return code
+    except (_UsageError, ValueError, OSError) as exc:  # ValueError includes every BratteliError
         print(f"bratteli: {exc}", file=sys.stderr)
         return 1
 

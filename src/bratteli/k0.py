@@ -34,7 +34,7 @@ class K0Element:
         p = tuple(_as_int(x) for x in prefix)
         if not p:
             raise BratteliError("an element needs at least one entry")
-        if eventual_from is not None and not 0 <= eventual_from < len(p):
+        if eventual_from is not None and not 0 <= _as_int(eventual_from) < len(p):
             raise BratteliError("eventual_from outside the prefix")
         object.__setattr__(self, "prefix", p)
         object.__setattr__(self, "eventual_from", eventual_from)
@@ -93,7 +93,7 @@ def nondegeneracy_witness(
     if idx[0] < 0:
         raise BratteliError("coordinate indices must be non-negative")
     top = idx[-1]
-    if depth < top + 1:
+    if _as_int(depth) < top + 1:
         raise BratteliError(f"depth must be at least max(indices) + 1 = {top + 1}")
     if depth > spec.levels_defined:
         raise InsufficientPrefixError(

@@ -159,6 +159,8 @@ class TargetSequence:
         for n, p in enumerate(pts):
             if p.dim != n + 1:
                 raise BratteliError(f"target {n} must have {n + 1} coordinates, has {p.dim}")
+        if stationary_from is not None and not (type(stationary_from) is int and 0 <= stationary_from < len(pts)):
+            raise BratteliError(f"stationary_from must be a level in [0, {len(pts) - 1}], got {stationary_from!r}")
         return TargetSequence(
             lambda n: pts[n], max_level=len(pts) - 1, stationary_from=stationary_from, kind="explicit"
         )

@@ -107,6 +107,21 @@ class TestIntegerEntries:
         with pytest.raises(BratteliError, match="^expected an integer, got 0.7$"):
             nondegeneracy_witness(ones12, [0.7, 1.2], 4)
 
+    @pytest.mark.parametrize("start, bad", [(True, "True"), (1.5, "1.5"), ("1", "'1'")])
+    def test_eventual_from(self, start, bad):
+        with pytest.raises(BratteliError, match=f"^expected an integer, got {bad}$"):
+            K0Element([1, 2, 3], eventual_from=start)
+
+    def test_eventual_from_range_still_checked(self):
+        assert K0Element([1, 2, 3], eventual_from=2).eventual_from == 2
+        with pytest.raises(BratteliError, match="^eventual_from outside the prefix$"):
+            K0Element([1, 2, 3], eventual_from=3)
+
+    @pytest.mark.parametrize("depth, bad", [(2.5, "2.5"), (True, "True"), ("4", "'4'")])
+    def test_witness_depth(self, ones12, depth, bad):
+        with pytest.raises(BratteliError, match=f"^expected an integer, got {bad}$"):
+            nondegeneracy_witness(ones12, [0], depth)
+
 
 class TestClosureUnderAddition:
     def test_sum_holds_from_max_of_starts(self):

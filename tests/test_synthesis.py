@@ -445,6 +445,19 @@ class TestGConsistency:
             targets.incoherent_levels(1)
         assert not targets.check_coherence(1)
 
+    @pytest.mark.parametrize(
+        "start, shown", [(5, "5"), (2, "2"), (-1, "-1"), (True, "True"), (1.0, "1.0"), ("1", "'1'")]
+    )
+    def test_stationary_from_outside_the_points_rejected(self, start, shown):
+        # two points: levels 0 and 1 are the only ones coherence can speak of
+        points = [SimplexPoint([1]), SimplexPoint([F(1, 2)] * 2)]
+        with pytest.raises(BratteliError, match=rf"^stationary_from must be a level in \[0, 1\], got {shown}$"):
+            TargetSequence.explicit(points, stationary_from=start)
+
+    def test_stationary_from_on_the_last_point(self):
+        points = [SimplexPoint([1]), SimplexPoint([F(1, 2)] * 2)]
+        assert TargetSequence.explicit(points, stationary_from=1).check_coherence(1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_reference(self, data):
