@@ -42,11 +42,10 @@ from .intertwine import (
     limit_vertex_estimate,
     map_distance,
 )
-from .k0 import K0Element, nondegeneracy_witness, order_unit, positivity_check, recurrence_check
+from .k0 import K0Element, nondegeneracy_witness, positivity_check, recurrence_check
 from .rfd import (
     RfdResult,
     RfdWitness,
-    check_all_positive,
     check_rfd,
     check_rfd_ji,
     validate_witness,
@@ -62,7 +61,6 @@ from .synthesis import (
     classify_stationary,
     stationary_targets,
     synthesize,
-    synthesize_level,
 )
 from .traces import (
     TraceLabel,

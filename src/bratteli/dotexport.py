@@ -24,11 +24,3 @@ def export_dot(prefix: BratteliPrefix, name: str = "bratteli") -> str:
                     lines.append(f'  "L{n}_{j}" -> "L{n + 1}_{i}" [label="{mult}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def count_nodes_edges(prefix: BratteliPrefix) -> tuple[int, int]:
-    nodes = sum(len(level) for level in prefix.levels)
-    edges = sum(
-        1 for mat in prefix.matrices for row in mat.entries for e in row if e
-    )
-    return nodes, edges

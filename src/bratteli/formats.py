@@ -12,7 +12,8 @@ plus a targets file for synthesis inputs:
 Parsing is strict: unknown keys are rejected so a mistyped field cannot be
 silently ignored.  Emission is canonical (sorted keys, fixed separators), and
 parse(emit(x)) is the identity on canonical form.  Rationals travel as "p/q"
-strings (or bare integer strings).
+strings (or bare integer strings); a target coordinate may also be a JSON
+integer, but never a float, boolean, null, list or object.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise FormatError(f"not a rational: {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -85,6 +88,8 @@ def parse_diagram(text: str) -> Diagram:
         mats = obj["matrices"]
         if not isinstance(u1, list) or not isinstance(mats, list):
             raise FormatError("u1 and matrices must be lists")
+        if not all(isinstance(m, list) and all(isinstance(row, list) for row in m) for m in mats):
+            raise FormatError("matrices must be a list of lists of lists")
         try:
             levels = [[_int(e, "size") for e in u1]]
             matrices = []

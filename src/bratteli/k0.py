@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import TriangularSpec, characteristic_sequence
+from .diagram import TriangularSpec
 from .errors import BratteliError, InsufficientPrefixError
 
 
@@ -112,8 +112,3 @@ def nondegeneracy_witness(
             raise AssertionError("witness construction failed to project correctly")
         out.append(ProjectionWitness(f, element, projection))
     return out
-
-
-def order_unit(spec: TriangularSpec, depth: int) -> K0Element:
-    """The size sequence as an element; it obeys the recurrence from 0."""
-    return K0Element(characteristic_sequence(spec, depth), eventual_from=0)

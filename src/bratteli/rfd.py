@@ -115,9 +115,6 @@ class RfdResult:
     reason: str | None = None
     caveat: str = PREFIX_CAVEAT
 
-    def __bool__(self) -> bool:
-        return self.consistent
-
 
 def _matrix_bounds(prefix: BratteliPrefix, i: int) -> tuple[int, int, int | None, int]:
     """(t_row, t_size, need, z) of matrix i: t_i = min(t_row, t_size) splits
@@ -350,18 +347,6 @@ def check_rfd(prefix: BratteliPrefix, mode: str = "strict") -> RfdResult:
 def check_rfd_ji(prefix: BratteliPrefix, mode: str = "strict") -> RfdResult:
     """As `check_rfd`, plus all-entries-positive on the non-identity blocks."""
     return _check(prefix, ji=True, mode=mode)
-
-
-def check_all_positive(prefix: BratteliPrefix) -> bool:
-    """True when every multiplicity of every matrix is at least 1.
-
-    This is the classical sufficient condition for simplicity of the limit,
-    reported as prefix-level evidence only.
-    """
-    prefix.require_valid()
-    return all(
-        e >= 1 for mat in prefix.matrices for row in mat.entries for e in row
-    )
 
 
 def validate_witness(prefix: BratteliPrefix, witness: RfdWitness, ji: bool = False) -> bool:

@@ -206,15 +206,6 @@ class StochasticAffineMap:
         return StochasticAffineMap._from_int_columns(_vertex_columns(n))
 
     @staticmethod
-    def from_columns(columns: Sequence[SimplexPoint]) -> "StochasticAffineMap":
-        if not columns:
-            raise ValueError("need at least one column")
-        size = columns[0].dim
-        if any(c.dim != size for c in columns):
-            raise ValueError("columns must share a dimension")
-        return StochasticAffineMap._from_int_columns(_over_lcm(c.coords) for c in columns)
-
-    @staticmethod
     def vertex_fixing(new_vertex_image: SimplexPoint) -> "StochasticAffineMap":
         """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
         the first n vertices and sends the last vertex to the given point."""

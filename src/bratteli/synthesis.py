@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .diagram import TriangularSpec, characteristic_sequence
 from .errors import BratteliError, InsufficientPrefixError
@@ -26,17 +26,15 @@ from .intertwine import MapSequence
 from .simplex import SimplexPoint, StochasticAffineMap
 
 _SCAN_CAP = 10**7
-_N0_SCAN_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class TailRule:
     """Continuation of a weight sequence beyond its explicit head."""
 
-    kind: str  # "zero" | "geometric" | "equal-to-k" | "custom"
+    kind: str  # "zero" | "geometric" | "equal-to-k"
     ratio: Fraction = Fraction(0)
     spec: TriangularSpec | None = None
-    fn: Callable[[int], Fraction] | None = None
 
     @staticmethod
     def zero() -> "TailRule":
@@ -52,10 +50,6 @@ class TailRule:
     @staticmethod
     def equal_to_k(spec: TriangularSpec) -> "TailRule":
         return TailRule("equal-to-k", spec=spec)
-
-    @staticmethod
-    def custom(fn: Callable[[int], Fraction]) -> "TailRule":
-        return TailRule("custom", fn=fn)
 
 
 @dataclass(frozen=True)
@@ -101,19 +95,13 @@ class StationarySpec:
             if self.head:
                 return self.head[-1] * t.ratio ** (n - len(self.head) + 1)
             return t.ratio**n
-        if t.kind == "equal-to-k":
-            return Fraction(characteristic_sequence(t.spec, n)[n])
-        return Fraction(t.fn(n))
-
-    def partial_sum(self, n: int) -> Fraction:
-        return sum(self.value(j) for j in range(n + 1))
+        return Fraction(characteristic_sequence(t.spec, n)[n])
 
     @property
     def first_nonzero(self) -> int:
-        for n in range(max(len(self.head), 1) + _N0_SCAN_CAP):
-            if self.value(n) != 0:
-                return n
-        raise BratteliError("no nonzero weight found within the scan cap")
+        """At most len(head): a zero tail needs a nonzero head weight, an
+        empty head's geometric tail starts at 1, and k_n >= 1."""
+        return next(n for n in range(len(self.head) + 1) if self.value(n) != 0)
 
     def targets(self) -> "TargetSequence":
         return TargetSequence.stationary(self)
@@ -138,11 +126,10 @@ class TargetSequence:
     when nothing is promised.
     """
 
-    def __init__(self, point_fn, max_level: int | None, stationary_from: int | None, kind: str):
+    def __init__(self, point_fn, max_level: int | None, stationary_from: int | None):
         self._point_fn = point_fn
         self.max_level = max_level
         self.stationary_from = stationary_from
-        self.kind = kind
 
     @staticmethod
     def stationary(spec: StationarySpec) -> "TargetSequence":
@@ -150,7 +137,6 @@ class TargetSequence:
             lambda n: stationary_targets(spec, n),
             max_level=None,
             stationary_from=spec.first_nonzero,
-            kind="stationary",
         )
 
     @staticmethod
@@ -161,9 +147,7 @@ class TargetSequence:
                 raise BratteliError(f"target {n} must have {n + 1} coordinates, has {p.dim}")
         if stationary_from is not None and not (type(stationary_from) is int and 0 <= stationary_from < len(pts)):
             raise BratteliError(f"stationary_from must be a level in [0, {len(pts) - 1}], got {stationary_from!r}")
-        return TargetSequence(
-            lambda n: pts[n], max_level=len(pts) - 1, stationary_from=stationary_from, kind="explicit"
-        )
+        return TargetSequence(lambda n: pts[n], max_level=len(pts) - 1, stationary_from=stationary_from)
 
     def point(self, n: int) -> SimplexPoint:
         if n < 0:
@@ -267,47 +251,21 @@ class LevelSynthesis:
 class SynthesisCertificate:
     levels: tuple[LevelSynthesis, ...]
 
-    @property
-    def max_gap_l1(self) -> Fraction:
-        return max((l.gap_l1 for l in self.levels), default=Fraction(0))
-
-    def all_gaps_within_bound(self) -> bool:
-        return all(
-            l.gap_l1 < Fraction(1, 2**l.level)
-            and l.gap_l2sq < Fraction(1, 4**l.level)
-            for l in self.levels
-        )
-
 
 def _level_from_ell(ks: list[int], ell: Sequence[int]):
-    scale = lcm(*(k // gcd(k, l) for k, l in zip(ks, ell)))
-    mvector = tuple(scale * l // k for k, l in zip(ks, ell))
-    k_next = scale * sum(ell)
-    zeta_point = SimplexPoint.normalized(ell)
-    return mvector, k_next, zeta_point
-
-
-def synthesize_level(
-    kprefix: Sequence[int],
-    xi: SimplexPoint,
-    eps,
-    exact: bool = False,
-) -> tuple[tuple[int, ...], int, SimplexPoint]:
-    """One induction step: from the sizes so far and the level target,
-    produce (multiplicity vector, next size, realized point).
+    """One induction step: from the sizes so far and the level's integer
+    approximation, produce (multiplicity vector, next size, realized point).
 
     With the least scale K such that every k_j divides K l_j, that is
     K = lcm_j(k_j / gcd(k_j, l_j)), m_j = K l_j / k_j gives zeta_j =
     m_j k_j / k_next = l_j / sum(l) with k_next = K sum(l), so the realized
     point is exactly the integer approximation of the target.
     """
-    ks = list(kprefix)
-    if len(ks) != xi.dim:
-        raise BratteliError("size prefix and target dimension disagree")
-    if any(k < 1 for k in ks):
-        raise BratteliError("sizes must be positive")
-    ell = approximate_on_simplex(xi, eps, exact=exact)
-    return _level_from_ell(ks, ell)
+    scale = lcm(*(k // gcd(k, l) for k, l in zip(ks, ell)))
+    mvector = tuple(scale * l // k for k, l in zip(ks, ell))
+    k_next = scale * sum(ell)
+    zeta_point = SimplexPoint.normalized(ell)
+    return mvector, k_next, zeta_point
 
 
 def synthesize(
@@ -350,25 +308,20 @@ def synthesize(
 class Classification:
     """Shape of the limit simplex of a stationary family."""
 
-    verdict: str  # "bauer" | "non-bauer" | "degenerate" | "inconclusive"
+    verdict: str  # "bauer" | "non-bauer" | "degenerate"
     e_inf: tuple[Fraction, ...] | None = None
     total: Fraction | None = None
-    partial_sums: tuple[Fraction, ...] | None = None
 
 
 def classify_stationary(t: StationarySpec, depth: int = 32) -> Classification:
     """Divergent weights give the one-point-compactification Bauer simplex;
     summable weights with at least two atoms give a non-Bauer simplex whose
     limit of extreme points is the normalized weight mixture; a single atom
-    is isolated as degenerate; an undecidable tail reports partial sums."""
+    is isolated as degenerate."""
     if depth < 0:
         raise BratteliError("depth must be non-negative")
     tail = t.tail
-    tail_zero = t._tail_is_zero()
-    if tail.kind == "custom":
-        sums = tuple(t.partial_sum(n) for n in range(depth + 1))
-        return Classification("inconclusive", partial_sums=sums)
-    if tail_zero:
+    if t._tail_is_zero():
         atoms = sum(1 for x in t.head if x != 0)
         if atoms == 1:
             return Classification("degenerate")

@@ -118,6 +118,8 @@ def push_point(prefix: BratteliPrefix, point: SimplexPoint, src_level: int, dst_
 def limit_trace_restriction(t: Sequence, n: int) -> SimplexPoint:
     """Coefficients of the limit trace of a stationary family on level n:
     the normalized head (t_0, ..., t_n)."""
+    if n < 0:
+        raise BratteliError("level must be non-negative")
     head = [Fraction(x) for x in t[: n + 1]]
     if len(head) != n + 1:
         raise InsufficientPrefixError(f"need {n + 1} weights, got {len(head)}")

@@ -181,7 +181,8 @@ def random_point(rng: random.Random, dim: int) -> SimplexPoint:
 
 
 def random_stochastic_map(rng: random.Random, rows: int, cols: int) -> StochasticAffineMap:
-    return StochasticAffineMap.from_columns([random_point(rng, rows) for _ in range(cols)])
+    columns = [random_point(rng, rows) for _ in range(cols)]
+    return StochasticAffineMap(ReferenceMap.from_columns(columns).entries)
 
 
 # --- the Fraction oracle for trace-simplex maps ---------------------------

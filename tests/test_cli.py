@@ -9,7 +9,7 @@ import pytest
 
 from bratteli.cli import run
 from bratteli.diagram import BratteliPrefix
-from bratteli.dotexport import count_nodes_edges, export_dot
+from bratteli.dotexport import export_dot
 from bratteli.fixtures import fixtures
 from bratteli.formats import parse_diagram
 
@@ -382,12 +382,10 @@ class TestIntertwineFiles:
 class TestDotExport:
     def test_counts_match_direct_tally(self, capsys):
         prefix = embed(all_ones_spec(2), 2)
-        nodes, edges = count_nodes_edges(prefix)
         # oracle recount straight off the multiplicity data
-        assert nodes == sum(prefix.width(n) for n in range(prefix.depth)) == 6
-        assert edges == sum(
-            1 for m in prefix.matrices for row in m.entries for e in row if e
-        ) == 6
+        nodes = sum(prefix.width(n) for n in range(prefix.depth))
+        edges = sum(1 for m in prefix.matrices for row in m.entries for e in row if e)
+        assert (nodes, edges) == (6, 6)
         text = export_dot(prefix)
         assert text.count("[label=") - text.count("->") == nodes
         assert text.count("->") == edges

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bratteli import BratteliPrefix, FormatError, SimplexPoint, TriangularSpec
+from bratteli.cli import run
 from bratteli.formats import (
     emit_diagram,
     emit_targets,
@@ -30,6 +36,11 @@ class TestRationals:
             fraction_from_str("1/0")
         with pytest.raises(FormatError):
             fraction_from_str("a/b")
+
+    @pytest.mark.parametrize("value", [None, True, False, 0.1, 1.0, [1], {"p": 1}, F(1, 2)])
+    def test_only_strings_and_integers(self, value):
+        with pytest.raises(FormatError, match=r"^not a rational: "):
+            fraction_from_str(value)
 
 
 class TestDiagramFiles:
@@ -58,6 +69,12 @@ class TestDiagramFiles:
         with pytest.raises(FormatError):
             parse_diagram('{"format":"circular"}')
 
+    @pytest.mark.parametrize("matrices", [[5], [[5]], ["ab"], [{"a": [1]}], [[[1]], 2]])
+    def test_general_matrices_must_nest_three_deep(self, matrices):
+        text = json.dumps({"format": "general", "unital": True, "u1": [1], "matrices": matrices})
+        with pytest.raises(FormatError, match=r"^matrices must be a list of lists of lists$"):
+            parse_diagram(text)
+
     def test_non_integer_entries_rejected(self):
         with pytest.raises(FormatError):
             parse_diagram('{"format":"triangular","k0":1,"mvectors":[[1.5]]}')
@@ -81,6 +98,88 @@ class TestTargetsFiles:
     def test_sum_check(self):
         with pytest.raises(FormatError):
             parse_targets('{"format":"targets","points":[["1/2"]]}')
+
+    @pytest.mark.parametrize("coord", ["null", "true", "0.1", "[1]", '{"p":1}'])
+    def test_coordinate_must_be_string_or_integer(self, coord):
+        text = '{"format":"targets","points":[["1"],[%s,"9/10"]]}' % coord
+        with pytest.raises(FormatError, match=r"^not a rational: "):
+            parse_targets(text)
+
+    def test_integer_coordinates_accepted(self):
+        points = parse_targets('{"format":"targets","points":[[1],[0,"1"]]}')
+        assert points == [SimplexPoint([F(1)]), SimplexPoint([F(0), F(1)])]
+
+
+# --- fuzz: malformed files fail with FormatError, and with one CLI line ----
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+VALID_FILES = [
+    {"format": "triangular", "k0": 1, "mvectors": [[1], [1, 1]]},
+    {"format": "general", "unital": True, "u1": [1], "matrices": [[[1], [2]], [[1, 0], [0, 1], [0, 2]]]},
+    {"format": "targets", "points": [["1"], ["2/3", "1/3"], [1, 0, "0"]]},
+]
+
+
+def _paths(value, path=()):
+    """Every position in a JSON value, the root included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    copy = json.loads(json.dumps(value))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return copy
+
+
+@st.composite
+def one_field_replaced(draw):
+    base = draw(st.sampled_from(VALID_FILES))
+    path = draw(st.sampled_from(list(_paths(base))[1:]))
+    return json.dumps(_replaced(base, path, draw(json_values)))
+
+
+malformed_texts = json_values.map(json.dumps) | one_field_replaced()
+
+
+def _cli(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMalformedFiles:
+    """Whatever JSON a file holds, the parsers return or raise FormatError,
+    and the CLI turns a rejection into exit 1 and one `bratteli:` line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_texts)
+    @example('{"format":"general","unital":true,"u1":[1],"matrices":[5]}')
+    @example('{"format":"general","unital":true,"u1":[1],"matrices":[[5]]}')
+    @example('{"format":"targets","points":[[null]]}')
+    def test_parsers_fail_only_with_format_error(self, text):
+        for parser, argv in (
+            (parse_diagram, ["check-rfd", "-"]),
+            (parse_targets, ["synthesize", "--targets", "-", "--levels", "0"]),
+        ):
+            try:
+                parser(text)
+            except FormatError:
+                code, out, err = _cli(argv, text)
+                assert (code, out) == (1, "")
+                assert err.startswith("bratteli: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestFixtures:

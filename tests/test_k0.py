@@ -11,7 +11,6 @@ from bratteli import (
     TriangularSpec,
     characteristic_sequence,
     nondegeneracy_witness,
-    order_unit,
     positivity_check,
     recurrence_check,
 )
@@ -44,7 +43,7 @@ class TestRecurrenceCheck:
 
 class TestPositivity:
     def test_order_unit_positive(self, ones12):
-        assert positivity_check(order_unit(ones12, 6))
+        assert positivity_check(K0Element(characteristic_sequence(ones12, 6), eventual_from=0))
 
     def test_negative_entry(self):
         assert not positivity_check(K0Element([1, -1, 3]))

@@ -14,7 +14,6 @@ from bratteli import (
     InsufficientPrefixError,
     MultiplicityMatrix,
     TriangularSpec,
-    check_all_positive,
     check_rfd,
     check_rfd_ji,
     embed_triangular,
@@ -103,19 +102,6 @@ class TestCheckRfdJi:
         assert ji.consistent and rfd.consistent
         assert validate_witness(prefix, ji.witness, ji=False)
         assert rfd.witness.r == ji.witness.r
-
-
-class TestCheckAllPositive:
-    def test_all_ones_embedding_has_zeros(self, ones12):
-        assert not check_all_positive(embed_triangular(ones12, 3))
-
-    def test_full_two_by_two(self):
-        prefix = BratteliPrefix([[1, 1], [2, 2]], [[[1, 1], [1, 1]]])
-        assert check_all_positive(prefix)
-
-    def test_doubling_chain(self):
-        prefix = BratteliPrefix([[1], [2], [4]], [[[2]], [[2]]])
-        assert check_all_positive(prefix)
 
 
 class TestInvariants:

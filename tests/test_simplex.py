@@ -85,7 +85,6 @@ class TestViewsAndEquality:
         copies = (
             scaled,
             StochasticAffineMap(m.entries),
-            StochasticAffineMap.from_columns([m.column_point(j) for j in range(m.cols)]),
         )
         for other in copies:
             assert other == m and hash(other) == hash(m)
@@ -144,20 +143,9 @@ class TestConstructors:
         assert_matches(StochasticAffineMap.identity(n), ReferenceMap.identity(n))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda d: st.lists(points(d), min_size=1, max_size=4)))
-    def test_from_columns(self, columns):
-        assert_matches(StochasticAffineMap.from_columns(columns), ReferenceMap.from_columns(columns))
-
-    @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6).flatmap(points))
     def test_vertex_fixing(self, point):
         assert_matches(StochasticAffineMap.vertex_fixing(point), ReferenceMap.vertex_fixing(point))
-
-    def test_from_columns_errors(self):
-        with pytest.raises(ValueError, match="^need at least one column$"):
-            StochasticAffineMap.from_columns([])
-        with pytest.raises(ValueError, match="^columns must share a dimension$"):
-            StochasticAffineMap.from_columns([SimplexPoint.vertex(2, 0), SimplexPoint.vertex(3, 0)])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))

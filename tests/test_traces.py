@@ -24,6 +24,7 @@ from bratteli import (
     push_point,
     zeta,
 )
+from bratteli.cli import run
 from bratteli.diagram import characteristic_sequence
 
 from conftest import ReferenceMap, random_point, random_unital_prefix, reference_induced_trace_map
@@ -217,6 +218,16 @@ class TestLimitTraceRestriction:
     def test_all_zero_rejected(self):
         with pytest.raises(BratteliError):
             limit_trace_restriction([0, 0, 0], 2)
+
+    @pytest.mark.parametrize("weights", [[], [1, 2]])
+    def test_negative_level_rejected(self, weights):
+        with pytest.raises(BratteliError, match=r"^level must be non-negative$"):
+            limit_trace_restriction(weights, -1)
+
+    @pytest.mark.parametrize("source", [["--stationary", "geometric:1/2"], ["--t", "1,1/2"]])
+    def test_cli_negative_level(self, capsys, source):
+        assert run(["traces", "limit-restrict", *source, "--level", "-1"]) == 1
+        assert capsys.readouterr() == ("", "bratteli: level must be non-negative\n")
 
 
 class TestLabelTrace:
