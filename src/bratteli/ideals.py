@@ -53,8 +53,8 @@ class IdealProfile:
 
     def complement(self, prefix: BratteliPrefix) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            tuple(v for v in range(prefix.width(n)) if v not in set(self.T[n]))
-            for n in range(self.depth)
+            tuple(v for v in range(prefix.width(n)) if v not in absorbed)
+            for n, absorbed in enumerate(map(set, self.T))
         )
 
     def is_empty(self) -> bool:

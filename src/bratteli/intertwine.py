@@ -9,18 +9,16 @@ hypothesis costs nothing; l2 is available read-only through exactly
 representable squared distances.
 
 Conventions: in a `MapSequence`, maps[j] sends level-(j+1) points to level-j
-points.  Cross maps run diagonally: rho[j] from top level j+1 to bottom
-level j, and rho_prime[j] from bottom level j to top level j.  When no cross
-maps are given (towers over identical levels), rho[j] defaults to the top
-map f_j itself and rho_prime[j] to the identity, which makes one defect
-series vanish and the other equal the levelwise gaps d(f_j, f'_j).
+points.  The two towers run over identical levels, so the cross map from
+top level j+1 to bottom level j is the top map f_j itself and the defects
+are the levelwise gaps d(f_j, f'_j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import BratteliError
@@ -35,23 +33,14 @@ def map_distance(f: StochasticAffineMap, g: StochasticAffineMap, metric: str = "
     The pointwise distance x -> d(f(x), g(x)) is convex, so its sup over the
     simplex is attained at a vertex; the result is the exact max over
     columns.  For l2 the squared distance is returned (max of squares equals
-    square of max).  Each pair of stored integer columns is compared over
-    the lcm of their two denominators.
+    square of max).
     """
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise BratteliError("shape mismatch")
     if metric not in _METRICS:
         raise BratteliError(f"unknown metric {metric!r}")
-    best = Fraction(0)
-    for (a, da), (b, db) in zip(f._columns, g._columns):
-        den = lcm(da, db)
-        diffs = [x * (den // da) - y * (den // db) for x, y in zip(a, b)]
-        if metric == "l1":
-            d = Fraction(sum(map(abs, diffs)), den)
-        else:
-            d = Fraction(sum(e * e for e in diffs), den * den)
-        best = max(best, d)
-    return best
+    distance = SimplexPoint.l1_distance if metric == "l1" else SimplexPoint.l2sq_distance
+    return max(distance(f.column_point(j), g.column_point(j)) for j in range(f.cols))
 
 
 @dataclass(frozen=True)
@@ -129,39 +118,20 @@ class TailBound:
 class IntertwiningData:
     top: MapSequence
     bottom: MapSequence
-    rho: tuple[StochasticAffineMap, ...] | None = None
-    rho_prime: tuple[StochasticAffineMap, ...] | None = None
     tail: TailBound | None = None
-
-    def __post_init__(self) -> None:
-        if self.rho is not None:
-            for j, r in enumerate(self.rho):
-                if r.cols != self.top.level_dim(j + 1) or r.rows != self.bottom.level_dim(j):
-                    raise BratteliError(f"cross map rho[{j}] has the wrong shape")
-        if self.rho_prime is not None:
-            for j, r in enumerate(self.rho_prime):
-                if r.cols != self.bottom.level_dim(j) or r.rows != self.top.level_dim(j):
-                    raise BratteliError(f"cross map rho_prime[{j}] has the wrong shape")
-
-    @property
-    def full_form(self) -> bool:
-        return self.rho is not None
 
 
 @dataclass(frozen=True)
 class GapSeries:
     """Exact defect values of an intertwining, with l1 partial sums.
 
-    In the identical-levels form `gaps[j]` is d(f_j, f'_j); in the full form
-    it is the defect of rho'_j o rho_j against f_j and `second[j]` the defect
-    of rho_j o rho'_{j+1} against f'_j.  The certificate (partial sum plus
-    tail bound) exists only in the l1 metric, where stochastic maps are
+    `gaps[j]` is d(f_j, f'_j).  The certificate (partial sum plus tail
+    bound) exists only in the l1 metric, where stochastic maps are
     nonexpansive and the bounds actually compose.
     """
 
     metric: str
     gaps: tuple[Fraction, ...]
-    second: tuple[Fraction, ...] | None
     partial_sums: tuple[Fraction, ...] | None
     certificate: Fraction | None
 
@@ -170,40 +140,12 @@ def gap_series(data: IntertwiningData, count: int | None = None) -> GapSeries:
     metric = data.top.metric
     limit = min(len(data.top.maps), len(data.bottom.maps))
     n = limit if count is None else min(count, limit)
-    if data.full_form:
-        if data.rho_prime is None:
-            raise BratteliError("full form needs both cross-map sequences")
-        first = []
-        second = []
-        for j in range(n):
-            first.append(
-                map_distance(data.rho_prime[j].compose(data.rho[j]), data.top.maps[j], metric)
-            )
-            if j + 1 < len(data.rho_prime):
-                second.append(
-                    map_distance(
-                        data.rho[j].compose(data.rho_prime[j + 1]), data.bottom.maps[j], metric
-                    )
-                )
-        gaps, extra = tuple(first), tuple(second)
-    else:
-        gaps = tuple(
-            map_distance(data.top.maps[j], data.bottom.maps[j], metric) for j in range(n)
-        )
-        extra = None
+    gaps = tuple(map_distance(data.top.maps[j], data.bottom.maps[j], metric) for j in range(n))
     if metric != "l1":
-        return GapSeries(metric, gaps, extra, None, None)
-    running = Fraction(0)
-    sums = []
-    for g in gaps:
-        running += g
-        sums.append(running)
-    if extra:
-        running += sum(extra)
-    certificate = None
-    if data.tail is not None:
-        certificate = running + data.tail.bound_from(n)
-    return GapSeries(metric, gaps, extra, tuple(sums), certificate)
+        return GapSeries(metric, gaps, None, None)
+    sums = tuple(accumulate(gaps, initial=Fraction(0)))
+    certificate = None if data.tail is None else sums[-1] + data.tail.bound_from(n)
+    return GapSeries(metric, gaps, sums[1:], certificate)
 
 
 @dataclass(frozen=True)
@@ -220,7 +162,7 @@ def limit_vertex_estimate(
 
     For systems in one-new-vertex form, vertex v of the limit projects onto
     the v-th vertex of every deep enough level; the estimate at `depth` j is
-    the image of that vertex through the cross map at j and the bottom
+    the image of that vertex through the top map f_j and the bottom
     composites down to `level`.  The error bound sums the remaining defects
     within the prefix plus the tail rule, all in exact l1 arithmetic.
     """
@@ -229,27 +171,15 @@ def limit_vertex_estimate(
         raise BratteliError("estimates are certified in the l1 metric only")
     if not 0 <= i <= j < len(data.bottom.maps):
         raise BratteliError("need 0 <= level <= depth < number of maps")
-    if data.full_form:
-        cross = data.rho[j] if j < len(data.rho) else None
-        if cross is None:
-            raise BratteliError(f"missing cross map at depth {j}")
-    else:
-        if len(data.top.maps) <= j:
-            raise BratteliError(f"top sequence too short for depth {j}")
-        cross = data.top.maps[j]
+    if len(data.top.maps) <= j:
+        raise BratteliError(f"top sequence too short for depth {j}")
+    cross = data.top.maps[j]
     if not 0 <= vertex < cross.cols:
         raise BratteliError(f"vertex {vertex} outside the depth-{j + 1} simplex")
-    start = cross.apply(SimplexPoint.vertex(cross.cols, vertex))
+    start = cross.column_point(vertex)
     point = start if i == j else compose_range(data.bottom, i, j).apply(start)
 
     series = gap_series(data)
-    if data.full_form:
-        remaining = sum(series.second[n] for n in range(j, len(series.second)))
-        remaining += sum(series.gaps[n] for n in range(j + 1, len(series.gaps)))
-        horizon = len(series.gaps)
-    else:
-        remaining = sum(series.gaps[n] for n in range(j, len(series.gaps)))
-        horizon = len(series.gaps)
     certified = data.tail is not None
-    bound = remaining + (data.tail.bound_from(horizon) if certified else Fraction(0))
+    bound = sum(series.gaps[j:]) + (data.tail.bound_from(len(series.gaps)) if certified else Fraction(0))
     return LimitEstimate(point, bound, certified)

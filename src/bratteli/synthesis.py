@@ -36,15 +36,21 @@ class TailRule:
     ratio: Fraction = Fraction(0)
     spec: TriangularSpec | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ratio", Fraction(self.ratio))
+        if self.kind not in ("zero", "geometric", "equal-to-k"):
+            raise BratteliError(f"unknown tail rule {self.kind!r}")
+        if self.kind == "geometric" and self.ratio <= 0:
+            raise BratteliError("geometric ratio must be positive")
+        if self.kind == "equal-to-k" and not isinstance(self.spec, TriangularSpec):
+            raise BratteliError("equal-to-k tail needs a triangular spec")
+
     @staticmethod
     def zero() -> "TailRule":
         return TailRule("zero")
 
     @staticmethod
     def geometric(ratio) -> "TailRule":
-        ratio = Fraction(ratio)
-        if ratio <= 0:
-            raise BratteliError("geometric ratio must be positive")
         return TailRule("geometric", ratio=ratio)
 
     @staticmethod
@@ -199,23 +205,21 @@ def approximate_on_simplex(
     D = 1, 2, 3, ... rounding by largest remainder and accepting the first D
     that meets eps, so a returned vector is always correct.
 
-    Both modes work on integers, with xi_j = p_j / q over one common
-    denominator.  In the scan, floor and remainder of xi_j D are p_j D // q
-    and p_j D % q, and |l_j / T - xi_j| < eps, with T = sum(l), is tested
-    as |l_j q - p_j T| eps.den < eps.num T q.
+    Both modes work on the point's integers xi_j = p_j / q.  In the scan,
+    floor and remainder of xi_j D are p_j D // q and p_j D % q, and
+    |l_j / T - xi_j| < eps, with T = sum(l), is tested as
+    |l_j q - p_j T| eps.den < eps.num T q.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise BratteliError("tolerance must be positive")
-    q = lcm(*(c.denominator for c in xi.coords))
-    ps = [c.numerator * (q // c.denominator) for c in xi.coords]
+    ps, q = xi.nums, xi.den
     if exact:
         if 0 in ps:
             raise BratteliError(
                 "exact mode needs strictly positive coordinates (each l_j must be >= 1)"
             )
-        g = gcd(*ps)
-        return tuple(p // g for p in ps)
+        return ps
     eps_num, eps_den = eps.numerator, eps.denominator
     for d in range(1, scan_cap + 1):
         scaled = [p * d for p in ps]
@@ -264,8 +268,7 @@ def _level_from_ell(ks: list[int], ell: Sequence[int]):
     scale = lcm(*(k // gcd(k, l) for k, l in zip(ks, ell)))
     mvector = tuple(scale * l // k for k, l in zip(ks, ell))
     k_next = scale * sum(ell)
-    zeta_point = SimplexPoint.normalized(ell)
-    return mvector, k_next, zeta_point
+    return mvector, k_next, SimplexPoint._from_ints(ell, sum(ell))
 
 
 def synthesize(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -83,16 +83,17 @@ def zeta(spec: TriangularSpec, n: int) -> SimplexPoint:
         )
     ks = characteristic_sequence(spec, n + 1)
     m = spec.mvectors[n]
-    return SimplexPoint(tuple(Fraction(m[j] * ks[j], ks[n + 1]) for j in range(n + 1)))
+    return SimplexPoint._from_ints([m[j] * ks[j] for j in range(n + 1)], ks[n + 1])
 
 
 def push_point(prefix: BratteliPrefix, point: SimplexPoint, src_level: int, dst_level: int) -> SimplexPoint:
     """Push a trace point down the diagram through the induced maps.
 
     Each step applies the induced map of `induced_trace_map` without
-    building it, on integer numerators over one common denominator:
-    y_j = k_j sum_i A(i, j) x_i / l_i, over the old denominator times
-    lcm(l).  Every step is checked for shape and unitality as there.
+    building it, on the point's integers: y_j = k_j sum_i A(i, j) x_i / l_i
+    over the old denominator times lcm(l), stored as a new point, whose gcd
+    reduction bounds the integers' growth.  Every step is checked for shape
+    and unitality as there.
     """
     if not 0 <= dst_level < src_level < prefix.depth:
         raise BratteliError("need 0 <= target level < source level < depth")
@@ -100,19 +101,14 @@ def push_point(prefix: BratteliPrefix, point: SimplexPoint, src_level: int, dst_
         raise BratteliError(
             f"point has {point.dim} coordinates, level {src_level} has width {prefix.width(src_level)}"
         )
-    den = lcm(*(c.denominator for c in point))
-    nums = [c.numerator * (den // c.denominator) for c in point]
     for n in range(src_level - 1, dst_level - 1, -1):
         matrix = prefix.matrices[n]
         src, dst = _unital_step(matrix, prefix.levels[n], prefix.levels[n + 1], n)
         scale = lcm(*dst)
-        weighted = [x * (scale // l) for x, l in zip(nums, dst)]
+        weighted = [x * (scale // l) for x, l in zip(point.nums, dst)]
         nums = [k * sum(map(mul, column, weighted)) for k, column in zip(src, zip(*matrix.entries))]
-        den *= scale
-        g = gcd(den, *nums)
-        den //= g
-        nums = [x // g for x in nums]
-    return SimplexPoint(Fraction(x, den) for x in nums)
+        point = SimplexPoint._from_ints(nums, point.den * scale)
+    return point
 
 
 def limit_trace_restriction(t: Sequence, n: int) -> SimplexPoint:

@@ -94,15 +94,16 @@ def reference_approximation(xi: SimplexPoint, eps, scan_cap: int) -> tuple[int, 
     """Oracle: the denominator scan of `approximate_on_simplex` in plain
     Fraction arithmetic, rounding by largest remainder at each D."""
     eps = Fraction(eps)
+    coords = xi.coords
     for d in range(1, scan_cap + 1):
-        base = [int(c * d) for c in xi.coords]  # floor: c*d is a Fraction
-        remainders = [(c * d - b, -j) for j, (c, b) in enumerate(zip(xi.coords, base))]
+        base = [int(c * d) for c in coords]  # floor: c*d is a Fraction
+        remainders = [(c * d - b, -j) for j, (c, b) in enumerate(zip(coords, base))]
         deficit = d - sum(base)
         for _, neg_j in sorted(remainders, reverse=True)[:deficit]:
             base[-neg_j] += 1
         ell = [max(1, b) for b in base]
         total = sum(ell)
-        if all(abs(Fraction(l, total) - c) < eps for l, c in zip(ell, xi.coords)):
+        if all(abs(Fraction(l, total) - c) < eps for l, c in zip(ell, coords)):
             return tuple(ell)
     raise BratteliError(f"no approximation found within denominator cap {scan_cap}")
 
@@ -185,7 +186,71 @@ def random_stochastic_map(rng: random.Random, rows: int, cols: int) -> Stochasti
     return StochasticAffineMap(ReferenceMap.from_columns(columns).entries)
 
 
-# --- the Fraction oracle for trace-simplex maps ---------------------------
+# --- the Fraction oracles for trace-simplex points and maps -----------------
+
+
+@dataclass(frozen=True, slots=True)
+class ReferencePoint:
+    """Oracle: the `Fraction` form of `SimplexPoint`, one Fraction per
+    coordinate, every check and distance computed in Fractions."""
+
+    coords: tuple[Fraction, ...]
+
+    def __init__(self, coords: Iterable) -> None:
+        cs = tuple(Fraction(v) for v in coords)
+        if not cs:
+            raise ValueError("a simplex point needs at least one coordinate")
+        if any(c < 0 for c in cs):
+            raise ValueError("coordinates must be non-negative")
+        if sum(cs) != 1:
+            raise ValueError(f"coordinates must sum to 1, got {sum(cs)}")
+        object.__setattr__(self, "coords", cs)
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.coords[i]
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    @staticmethod
+    def vertex(size: int, index: int) -> "ReferencePoint":
+        if not 0 <= index < size:
+            raise ValueError(f"vertex {index} outside simplex of {size} coordinates")
+        return ReferencePoint(tuple(Fraction(int(i == index)) for i in range(size)))
+
+    @staticmethod
+    def barycenter(size: int) -> "ReferencePoint":
+        return ReferencePoint((Fraction(1, size),) * size)
+
+    @staticmethod
+    def normalized(weights: Iterable) -> "ReferencePoint":
+        ws = tuple(Fraction(w) for w in weights)
+        total = sum(ws)
+        if total <= 0 or any(w < 0 for w in ws):
+            raise ValueError("weights must be non-negative with positive sum")
+        return ReferencePoint(tuple(w / total for w in ws))
+
+    def vertex_index(self) -> int | None:
+        ones = [i for i, c in enumerate(self.coords) if c == 1]
+        return ones[0] if len(ones) == 1 else None
+
+    def l1_distance(self, other: "ReferencePoint") -> Fraction:
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return sum(abs(a - b) for a, b in zip(self.coords, other.coords))
+
+    def l2sq_distance(self, other: "ReferencePoint") -> Fraction:
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return sum((a - b) ** 2 for a, b in zip(self.coords, other.coords))
+
+    def common_denominator_strings(self) -> tuple[str, ...]:
+        den = lcm(*(x.denominator for x in self.coords))
+        return tuple(f"{x.numerator * (den // x.denominator)}/{den}" for x in self.coords)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,15 +283,15 @@ class ReferenceMap:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def column_point(self, j: int) -> SimplexPoint:
-        return SimplexPoint(tuple(r[j] for r in self.entries))
+    def column_point(self, j: int) -> ReferencePoint:
+        return ReferencePoint(tuple(r[j] for r in self.entries))
 
-    def apply(self, point: SimplexPoint) -> SimplexPoint:
+    def apply(self, point) -> ReferencePoint:
         if point.dim != self.cols:
             raise ValueError(
                 f"map expects {self.cols} coordinates, point has {point.dim}"
             )
-        return SimplexPoint(
+        return ReferencePoint(
             tuple(
                 sum(row[j] * point[j] for j in range(self.cols))
                 for row in self.entries
@@ -254,7 +319,7 @@ class ReferenceMap:
         )
 
     @staticmethod
-    def from_columns(columns: Sequence[SimplexPoint]) -> "ReferenceMap":
+    def from_columns(columns: Sequence) -> "ReferenceMap":
         if not columns:
             raise ValueError("need at least one column")
         size = columns[0].dim
@@ -265,7 +330,7 @@ class ReferenceMap:
         )
 
     @staticmethod
-    def vertex_fixing(new_vertex_image: SimplexPoint) -> "ReferenceMap":
+    def vertex_fixing(new_vertex_image) -> "ReferenceMap":
         """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
         the first n vertices and sends the last vertex to the given point."""
         n = new_vertex_image.dim

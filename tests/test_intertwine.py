@@ -195,39 +195,6 @@ class TestLimitVertexEstimate:
         by_hand = bottoms[0].apply(tops[1].apply(SimplexPoint.vertex(3, 2)))
         assert est.point == by_hand
 
-    def test_missing_cross_maps_in_full_mode(self, halving_setup):
-        _, _, _, top, bottom = halving_setup
-        data = IntertwiningData(top, bottom, rho=(), rho_prime=())
-        with pytest.raises(BratteliError):
-            limit_vertex_estimate(data, 0, 0, 1)
-
-
-class TestFullForm:
-    def test_explicit_cross_maps_reduce_to_the_gap_series(self, halving_setup):
-        _, _, cert, top, bottom = halving_setup
-        rho = tuple(top.maps)  # diagonal: top level j+1 -> bottom level j
-        rho_prime = tuple(
-            StochasticAffineMap.identity(bottom.level_dim(j)) for j in range(len(bottom) + 1)
-        )
-        data = IntertwiningData(
-            top, bottom, rho=rho, rho_prime=rho_prime, tail=TailBound.geometric(F(1, 2))
-        )
-        series = gap_series(data)
-        assert all(g == 0 for g in series.gaps)  # rho' o rho is exactly f
-        assert series.second == tuple(
-            map_distance(top.maps[j], bottom.maps[j]) for j in range(len(series.second))
-        )
-        est_full = limit_vertex_estimate(data, 0, 1, 4)
-        est_cor = limit_vertex_estimate(
-            IntertwiningData(top, bottom, tail=TailBound.geometric(F(1, 2))), 0, 1, 4
-        )
-        assert est_full.point == est_cor.point
-
-    def test_cross_map_shapes_validated(self, halving_setup):
-        _, _, _, top, bottom = halving_setup
-        with pytest.raises(BratteliError):
-            IntertwiningData(top, bottom, rho=(StochasticAffineMap.identity(5),))
-
 
 class TestNonexpansiveness:
     def test_stochastic_maps_are_l1_nonexpansive(self):

@@ -1,6 +1,8 @@
-"""The integer column kernel of `StochasticAffineMap` against the Fraction
-oracle `ReferenceMap`: views, apply, compose, the constructors, the induced
-trace maps, map distances and every constructor error text."""
+"""The integer kernels of `SimplexPoint` and `StochasticAffineMap` against
+the Fraction oracles `ReferencePoint` and `ReferenceMap`: views, equality,
+distances, apply, compose, the constructors, the induced trace maps, map
+distances and every constructor error text; and a work guard that the
+package's own arithmetic never goes through the public point constructor."""
 
 from __future__ import annotations
 
@@ -14,14 +16,22 @@ from hypothesis import given, settings, strategies as st
 
 from bratteli import (
     SimplexPoint,
+    StationarySpec,
     StochasticAffineMap,
+    TailRule,
+    TargetSequence,
+    embed_triangular,
     induced_trace_map,
     level_maps,
     map_distance,
+    push_point,
+    synthesize,
 )
 
 from conftest import (
     ReferenceMap,
+    ReferencePoint,
+    all_ones_spec,
     random_unital_prefix,
     random_unital_step,
     reference_induced_trace_map,
@@ -65,7 +75,7 @@ def assert_matches(m: StochasticAffineMap, ref: ReferenceMap) -> None:
     assert (m.rows, m.cols) == (ref.rows, ref.cols)
     assert m.entries == ref.entries
     for j in range(m.cols):
-        assert m.column_point(j) == ref.column_point(j)
+        assert m.column_point(j).coords == ref.column_point(j).coords
 
 
 class TestViewsAndEquality:
@@ -109,7 +119,7 @@ class TestArithmetic:
     @given(matrices(), st.data())
     def test_apply_matches_oracle(self, rows, data):
         point = data.draw(points(len(rows[0])))
-        assert StochasticAffineMap(rows).apply(point) == ReferenceMap(rows).apply(point)
+        assert StochasticAffineMap(rows).apply(point).coords == ReferenceMap(rows).apply(point).coords
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
@@ -254,3 +264,123 @@ class TestErrorTexts:
         with pytest.raises(ValueError) as exc:
             StochasticAffineMap._from_int_columns(columns)
         assert str(exc.value) == text
+
+
+# --- points ----------------------------------------------------------------
+
+coordinates = st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12), max_size=5)
+
+
+def valid_coords(dim: int):
+    """Coordinates of a point or a vertex of the simplex with `dim` coordinates."""
+    vertices = st.integers(0, dim - 1).map(lambda v: [int(i == v) for i in range(dim)])
+    return st.one_of(points(dim).map(lambda p: list(p.coords)), vertices)
+
+
+any_valid_coords = st.integers(1, 5).flatmap(valid_coords)
+
+
+def point_outcome(build, *args):
+    try:
+        return "ok", build(*args).coords
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def both(coords):
+    return SimplexPoint(coords), ReferencePoint(coords)
+
+
+class TestPointAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(coordinates, any_valid_coords))
+    def test_constructor_and_error_texts(self, coords):
+        assert point_outcome(SimplexPoint, coords) == point_outcome(ReferencePoint, coords)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coordinates)
+    def test_normalized(self, weights):
+        assert point_outcome(SimplexPoint.normalized, weights) == point_outcome(ReferencePoint.normalized, weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(-2, 7))
+    def test_vertex_and_barycenter(self, size, index):
+        assert point_outcome(SimplexPoint.vertex, size, index) == point_outcome(ReferencePoint.vertex, size, index)
+        assert SimplexPoint.barycenter(size).coords == ReferencePoint.barycenter(size).coords
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(valid_coords(n), valid_coords(n))))
+    def test_queries(self, pair):
+        (p, rp), (q, rq) = both(pair[0]), both(pair[1])
+        for a, ra in ((p, rp), (q, rq)):
+            assert a.vertex_index() == ra.vertex_index()
+            assert a.common_denominator_strings() == ra.common_denominator_strings()
+            assert (a.dim, tuple(a), [a[i] for i in range(a.dim)]) == (ra.dim, tuple(ra), list(ra.coords))
+        for a, b, ra, rb in ((p, q, rp, rq), (q, p, rq, rp), (p, p, rp, rp)):
+            assert a.l1_distance(b) == ra.l1_distance(rb)
+            assert a.l2sq_distance(b) == ra.l2sq_distance(rb)
+            assert (a == b) == (ra == rb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_valid_coords, st.integers(1, 30))
+    def test_equal_points_have_equal_storage_and_hash(self, coords, scale):
+        p = SimplexPoint(coords)
+        copies = (
+            SimplexPoint.normalized([scale * c for c in coords]),
+            SimplexPoint([str(c) for c in p.coords]),
+            SimplexPoint._from_ints([scale * n for n in p.nums], scale * p.den),
+        )
+        for other in copies:
+            assert other == p and hash(other) == hash(p)
+            assert (other.nums, other.den) == (p.nums, p.den)
+        assert p.den == lcm(*(x.denominator for x in ReferencePoint(coords).coords))
+
+    def test_dimension_mismatch(self):
+        for build in (SimplexPoint, ReferencePoint):
+            with pytest.raises(ValueError, match="^dimension mismatch$"):
+                build.vertex(2, 0).l1_distance(build.vertex(3, 0))
+            with pytest.raises(ValueError, match="^dimension mismatch$"):
+                build.vertex(2, 0).l2sq_distance(build.vertex(3, 0))
+
+    @pytest.mark.parametrize(
+        "nums, den, text",
+        [
+            ((), 1, "a simplex point needs at least one coordinate"),
+            ((2, -1), 1, "coordinates must be non-negative"),
+            ((0,), 0, "coordinates must be non-negative"),
+            ((1, 1), 3, "coordinates must sum to 1, got 2/3"),
+        ],
+    )
+    def test_trusted_constructor_texts(self, nums, den, text):
+        with pytest.raises(ValueError) as exc:
+            SimplexPoint._from_ints(nums, den)
+        assert str(exc.value) == text
+
+
+class TestPublicPointConstructorUnused:
+    """The kernels build their points from integers: the public `Fraction`
+    constructor runs only for points a caller supplies."""
+
+    def test_kernels(self, monkeypatch):
+        prefix = embed_triangular(all_ones_spec(9), 9)
+        f, g = level_maps(prefix)[6:8]
+        point = SimplexPoint.normalized(range(1, 10))
+        halving = StationarySpec(tail=TailRule.geometric(F(1, 2))).targets()
+        explicit = TargetSequence.explicit([SimplexPoint.barycenter(n + 1) for n in range(6)])
+        calls = []
+        init = SimplexPoint.__init__
+
+        def counting_init(self, coords):
+            calls.append(coords)
+            init(self, coords)
+
+        monkeypatch.setattr(SimplexPoint, "__init__", counting_init)
+        push_point(prefix, point, 8, 0)
+        f.apply(g.apply(point))
+        f.compose(g)
+        map_distance(f, f.compose(StochasticAffineMap.identity(f.cols)), "l1")
+        map_distance(g, StochasticAffineMap.vertex_fixing(SimplexPoint.barycenter(8)), "l2")
+        synthesize(halving, 8)
+        synthesize(halving, 8, exact=True)
+        synthesize(explicit, 5, exact=True)
+        assert calls == []

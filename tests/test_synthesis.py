@@ -387,6 +387,19 @@ class TestInputChecks:
             classify_stationary(halving(), depth=-3)
 
     @pytest.mark.parametrize(
+        "kind, options, message",
+        [
+            ("geometrc", {"ratio": 1}, "unknown tail rule 'geometrc'"),
+            ("geometric", {"ratio": -1}, "geometric ratio must be positive"),
+            ("geometric", {}, "geometric ratio must be positive"),
+            ("equal-to-k", {}, "equal-to-k tail needs a triangular spec"),
+        ],
+    )
+    def test_tail_rule_checked_on_construction(self, kind, options, message):
+        with pytest.raises(BratteliError, match=f"^{message}$"):
+            TailRule(kind, **options)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["synthesize", "--stationary", "geometric:1/2", "--levels", "3", "--k0", "0"],

@@ -32,10 +32,11 @@ from conftest import ReferenceMap, random_point, random_unital_prefix, reference
 
 def count_map_constructions(monkeypatch) -> dict[str, int]:
     """Count `StochasticAffineMap` constructions from the next call on, by
-    path: the Fraction row constructor and the integer column one."""
+    path: the Fraction row constructor and the trusted column one, which
+    every map built from integer columns or column points goes through."""
     calls = {"rows": 0, "columns": 0}
     init = StochasticAffineMap.__init__
-    from_int_columns = StochasticAffineMap._from_int_columns
+    from_points = StochasticAffineMap._from_points
 
     def counting_init(self, entries):
         calls["rows"] += 1
@@ -43,10 +44,10 @@ def count_map_constructions(monkeypatch) -> dict[str, int]:
 
     def counting_columns(cls, columns):
         calls["columns"] += 1
-        return from_int_columns(columns)
+        return from_points(columns)
 
     monkeypatch.setattr(StochasticAffineMap, "__init__", counting_init)
-    monkeypatch.setattr(StochasticAffineMap, "_from_int_columns", classmethod(counting_columns))
+    monkeypatch.setattr(StochasticAffineMap, "_from_points", classmethod(counting_columns))
     return calls
 
 
