@@ -30,7 +30,10 @@ from . import fixtures as fixture_mod
 from .diagram import BratteliPrefix, TriangularSpec, embed_triangular
 from .dotexport import export_dot
 from .errors import BratteliError
-from .formats import Diagram, emit_diagram, fraction_from_str, fraction_to_str, parse_diagram, parse_targets
+from .formats import (
+    Diagram, diagram_json, emit_diagram, fraction_from_str, fraction_to_str, parse_diagram, parse_targets,
+    parse_targets_or_diagram,
+)
 from .ideals import (
     IdealProfile, close, enumerate_ideals, is_compact, just_infinite_evidence, primitive_profiles,
     profile_from_last_level, quotient,
@@ -166,32 +169,28 @@ def _parse_point(text: str) -> SimplexPoint:
     return SimplexPoint([fraction_from_str(c) for c in text.split(",")])
 
 
-def _map_sequence_from_file(path: str, metric: str) -> MapSequence:
+def _map_sequence_from_file(path: str) -> MapSequence:
     """The vertex-fixing maps of a targets file or the trace maps of a
     diagram file, chosen by the file's "format"."""
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None  # parse_diagram reports it
-    if isinstance(obj, dict) and obj.get("format") == "targets":
-        points = parse_targets(text)
-        return TargetSequence.explicit(points).map_sequence(len(points) - 1, metric)
-    prefix = _as_prefix(parse_diagram(text), None)
-    return MapSequence(level_maps(prefix), metric)
+    source = parse_targets_or_diagram(_read_text(path))
+    if isinstance(source, list):
+        return TargetSequence.explicit(source).map_sequence(len(source) - 1)
+    return MapSequence(level_maps(_as_prefix(source, None)))
 
 
 def _intertwining(args) -> IntertwiningData:
-    top = _map_sequence_from_file(args.file_a, args.metric)
-    bottom = _map_sequence_from_file(args.file_b, args.metric)
-    if args.tail is None:
-        return IntertwiningData(top, bottom, tail=None)
-    kind, _, val = args.tail.partition(":")
-    if kind == "geometric":
-        return IntertwiningData(top, bottom, tail=TailBound.geometric(fraction_from_str(val)))
-    if kind == "zero":
-        return IntertwiningData(top, bottom, tail=TailBound.zero())
-    raise BratteliError(f"unknown tail bound {args.tail!r}")
+    top = _map_sequence_from_file(args.file_a)
+    bottom = _map_sequence_from_file(args.file_b)
+    tail = None
+    if args.tail is not None:
+        kind, _, val = args.tail.partition(":")
+        if kind == "geometric":
+            tail = TailBound.geometric(fraction_from_str(val))
+        elif kind == "zero":
+            tail = TailBound.zero()
+        else:
+            raise BratteliError(f"unknown tail bound {args.tail!r}")
+    return IntertwiningData(top, bottom, tail, args.metric)
 
 
 def _write(path: str, text: str) -> None:
@@ -408,9 +407,7 @@ def _jsonable(value):
         return [fraction_to_str(c) for c in value.coords]
     if isinstance(value, IdealProfile):
         return [list(level) for level in value.T]
-    if isinstance(value, (BratteliPrefix, TriangularSpec)):
-        return json.loads(emit_diagram(value))
-    raise TypeError(f"no JSON form for {type(value).__name__}")
+    return diagram_json(value)  # raises FormatError for a value of no JSON form
 
 
 def _json_text(obj: dict) -> str:

@@ -90,12 +90,6 @@ class MultiplicityMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product over the integers."""
         if len(vector) != self.cols:
@@ -114,12 +108,6 @@ class MultiplicityMatrix:
             self.entries[i][j] == (1 if i == j else 0)
             for i in range(self.rows)
             for j in range(self.cols)
-        )
-
-    @staticmethod
-    def identity(n: int) -> "MultiplicityMatrix":
-        return MultiplicityMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
 

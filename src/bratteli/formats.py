@@ -62,11 +62,18 @@ def _int(v, what: str) -> int:
     return v
 
 
-def parse_diagram(text: str) -> Diagram:
+def _decode(text: str) -> Any:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+
+
+def parse_diagram(text: str) -> Diagram:
+    return _diagram_from_json(_decode(text))
+
+
+def _diagram_from_json(obj: Any) -> Diagram:
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     fmt = obj.get("format")
@@ -105,30 +112,38 @@ def parse_diagram(text: str) -> Diagram:
     raise FormatError(f"unknown format {fmt!r}")
 
 
-def emit_diagram(diagram: Diagram) -> str:
+def diagram_json(diagram: Diagram) -> dict[str, Any]:
+    """The JSON object of a diagram file, as `emit_diagram` writes it."""
     if isinstance(diagram, TriangularSpec):
-        obj: dict[str, Any] = {
-            "format": "triangular",
-            "k0": diagram.k0,
-            "mvectors": [list(m) for m in diagram.mvectors],
-        }
-    elif isinstance(diagram, BratteliPrefix):
-        obj = {
+        return {"format": "triangular", "k0": diagram.k0, "mvectors": [list(m) for m in diagram.mvectors]}
+    if isinstance(diagram, BratteliPrefix):
+        return {
             "format": "general",
             "unital": diagram.unital,
             "u1": list(diagram.levels[0].entries),
             "matrices": [[list(r) for r in m.entries] for m in diagram.matrices],
         }
-    else:
-        raise FormatError(f"cannot emit {type(diagram).__name__}")
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    raise FormatError(f"cannot emit {type(diagram).__name__}")
+
+
+def emit_diagram(diagram: Diagram) -> str:
+    return json.dumps(diagram_json(diagram), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def parse_targets(text: str) -> list[SimplexPoint]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    return _targets_from_json(_decode(text))
+
+
+def parse_targets_or_diagram(text: str) -> list[SimplexPoint] | Diagram:
+    """The points of a targets file, else the file's diagram (whose parser
+    reports a file that is neither), from one decode."""
+    obj = _decode(text)
+    if isinstance(obj, dict) and obj.get("format") == "targets":
+        return _targets_from_json(obj)
+    return _diagram_from_json(obj)
+
+
+def _targets_from_json(obj: Any) -> list[SimplexPoint]:
     if not isinstance(obj, dict) or obj.get("format") != "targets":
         raise FormatError("expected a targets object")
     _require_keys(obj, {"format", "points"}, "targets")

@@ -44,9 +44,6 @@ class IdealProfile:
     def __init__(self, T: Iterable[Iterable[int]]) -> None:
         object.__setattr__(self, "T", tuple(tuple(sorted(set(level))) for level in T))
 
-    def level(self, n: int) -> frozenset[int]:
-        return frozenset(self.T[n])
-
     @property
     def depth(self) -> int:
         return len(self.T)
@@ -199,7 +196,7 @@ def width_cap() -> int:
     return cap
 
 
-def enumerate_ideals(prefix: BratteliPrefix, max_width: int | None = None) -> list[IdealProfile]:
+def enumerate_ideals(prefix: BratteliPrefix) -> list[IdealProfile]:
     """All valid profiles on the prefix, canonically ordered.
 
     Since a profile is backward-determined by its last-level set, the
@@ -208,7 +205,7 @@ def enumerate_ideals(prefix: BratteliPrefix, max_width: int | None = None) -> li
     independent oracle.
     """
     succ = _successor_masks(prefix)
-    cap = width_cap() if max_width is None else max_width
+    cap = width_cap()
     widest = max(prefix.width(n) for n in range(prefix.depth))
     if widest > cap:
         raise BratteliError(f"width cap exceeded: {widest} > {cap}")

@@ -3,10 +3,11 @@
 Two towers of simplices with column-stochastic connecting maps are linked by
 diagonal cross maps; when the defect series are summable the limits are
 affinely homeomorphic, and truncations estimate the limit map with a
-certified error.  The default metric is l1 (total variation), in which every
-column-stochastic map is automatically nonexpansive, so the contractivity
-hypothesis costs nothing; l2 is available read-only through exactly
-representable squared distances.
+certified error.  The metric belongs to the intertwining, not to either
+tower: one defect series in one metric certifies the pair.  The default is
+l1 (total variation), in which every column-stochastic map is automatically
+nonexpansive, so the contractivity hypothesis costs nothing; l2 is available
+read-only through exactly representable squared distances.
 
 Conventions: in a `MapSequence`, maps[j] sends level-(j+1) points to level-j
 points.  The two towers run over identical levels, so the cross map from
@@ -48,28 +49,13 @@ class MapSequence:
     """Chained connecting maps of one inverse system of simplices."""
 
     maps: tuple[StochasticAffineMap, ...]
-    metric: str = "l1"
 
-    def __init__(self, maps: Iterable[StochasticAffineMap], metric: str = "l1") -> None:
+    def __init__(self, maps: Iterable[StochasticAffineMap]) -> None:
         ms = tuple(maps)
-        if metric not in _METRICS:
-            raise BratteliError(f"unknown metric {metric!r}")
         for j in range(len(ms) - 1):
             if ms[j].cols != ms[j + 1].rows:
                 raise BratteliError(f"maps {j} and {j + 1} do not chain")
         object.__setattr__(self, "maps", ms)
-        object.__setattr__(self, "metric", metric)
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def level_dim(self, j: int) -> int:
-        """Coordinate count of level j (0 <= j <= len(self))."""
-        if j < len(self.maps):
-            return self.maps[j].rows
-        if j == len(self.maps) and self.maps:
-            return self.maps[-1].cols
-        raise BratteliError(f"level {j} outside the sequence")
 
 
 def compose_range(seq: MapSequence, i: int, j: int) -> StochasticAffineMap:
@@ -89,15 +75,13 @@ class TailBound:
     kind: str
     ratio: Fraction = Fraction(0)
 
-    def __init__(self, kind: str, ratio=Fraction(0)) -> None:
-        ratio = Fraction(ratio)
-        if kind == "geometric":
-            if not 0 < ratio < 1:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ratio", Fraction(self.ratio))
+        if self.kind == "geometric":
+            if not 0 < self.ratio < 1:
                 raise BratteliError("geometric tail needs 0 < ratio < 1")
-        elif kind != "zero":
-            raise BratteliError(f"unknown tail rule {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ratio", ratio)
+        elif self.kind != "zero":
+            raise BratteliError(f"unknown tail rule {self.kind!r}")
 
     def bound_from(self, index: int) -> Fraction:
         """Upper bound for the sum of gaps at indices >= index."""
@@ -116,9 +100,16 @@ class TailBound:
 
 @dataclass(frozen=True)
 class IntertwiningData:
+    """Two towers over identical levels, their tail bound and the one metric of their defects."""
+
     top: MapSequence
     bottom: MapSequence
     tail: TailBound | None = None
+    metric: str = "l1"
+
+    def __post_init__(self) -> None:
+        if self.metric not in _METRICS:
+            raise BratteliError(f"unknown metric {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +127,9 @@ class GapSeries:
     certificate: Fraction | None
 
 
-def gap_series(data: IntertwiningData, count: int | None = None) -> GapSeries:
-    metric = data.top.metric
-    limit = min(len(data.top.maps), len(data.bottom.maps))
-    n = limit if count is None else min(count, limit)
+def gap_series(data: IntertwiningData) -> GapSeries:
+    metric = data.metric
+    n = min(len(data.top.maps), len(data.bottom.maps))
     gaps = tuple(map_distance(data.top.maps[j], data.bottom.maps[j], metric) for j in range(n))
     if metric != "l1":
         return GapSeries(metric, gaps, None, None)
@@ -167,7 +157,7 @@ def limit_vertex_estimate(
     within the prefix plus the tail rule, all in exact l1 arithmetic.
     """
     i, j = level, depth
-    if data.top.metric != "l1" or data.bottom.metric != "l1":
+    if data.metric != "l1":
         raise BratteliError("estimates are certified in the l1 metric only")
     if not 0 <= i <= j < len(data.bottom.maps):
         raise BratteliError("need 0 <= level <= depth < number of maps")

@@ -233,10 +233,6 @@ class StochasticAffineMap:
         return StochasticAffineMap._from_int_columns(self._combine(c.nums for c in inner._columns))
 
     @staticmethod
-    def identity(n: int) -> "StochasticAffineMap":
-        return StochasticAffineMap._from_points(tuple(SimplexPoint.vertex(n, j) for j in range(n)))
-
-    @staticmethod
     def vertex_fixing(new_vertex_image: SimplexPoint) -> "StochasticAffineMap":
         """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
         the first n vertices and sends the last vertex to the given point."""

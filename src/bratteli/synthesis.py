@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -44,6 +45,11 @@ class TailRule:
             raise BratteliError("geometric ratio must be positive")
         if self.kind == "equal-to-k" and not isinstance(self.spec, TriangularSpec):
             raise BratteliError("equal-to-k tail needs a triangular spec")
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """An equal-to-k tail's k_0, ..., k_L, computed once per rule."""
+        return characteristic_sequence(self.spec, self.spec.levels_defined)
 
     @staticmethod
     def zero() -> "TailRule":
@@ -101,7 +107,9 @@ class StationarySpec:
             if self.head:
                 return self.head[-1] * t.ratio ** (n - len(self.head) + 1)
             return t.ratio**n
-        return Fraction(characteristic_sequence(t.spec, n)[n])
+        if n >= len(t.sizes):
+            characteristic_sequence(t.spec, n)  # raises the spec's InsufficientPrefixError
+        return Fraction(t.sizes[n])
 
     @property
     def first_nonzero(self) -> int:
@@ -110,7 +118,9 @@ class StationarySpec:
         return next(n for n in range(len(self.head) + 1) if self.value(n) != 0)
 
     def targets(self) -> "TargetSequence":
-        return TargetSequence.stationary(self)
+        return TargetSequence(
+            lambda n: stationary_targets(self, n), max_level=None, stationary_from=self.first_nonzero
+        )
 
 
 def stationary_targets(t: StationarySpec, n: int) -> SimplexPoint:
@@ -138,14 +148,6 @@ class TargetSequence:
         self.stationary_from = stationary_from
 
     @staticmethod
-    def stationary(spec: StationarySpec) -> "TargetSequence":
-        return TargetSequence(
-            lambda n: stationary_targets(spec, n),
-            max_level=None,
-            stationary_from=spec.first_nonzero,
-        )
-
-    @staticmethod
     def explicit(points: Sequence[SimplexPoint], stationary_from: int | None = None) -> "TargetSequence":
         pts = tuple(points)
         for n, p in enumerate(pts):
@@ -169,8 +171,8 @@ class TargetSequence:
         of level n+1 to xi^(n)."""
         return StochasticAffineMap.vertex_fixing(self.point(n))
 
-    def map_sequence(self, count: int, metric: str = "l1") -> MapSequence:
-        return MapSequence([self.connecting_map(n) for n in range(count)], metric)
+    def map_sequence(self, count: int) -> MapSequence:
+        return MapSequence([self.connecting_map(n) for n in range(count)])
 
     def incoherent_levels(self, count: int) -> tuple[int, ...]:
         """Levels n in [stationary_from, count) where f_n(xi^(n+1)) != xi^(n).
@@ -329,14 +331,9 @@ def classify_stationary(t: StationarySpec, depth: int = 32) -> Classification:
         if atoms == 1:
             return Classification("degenerate")
         total = sum(t.head)
-        coeffs = tuple(t.value(j) / total for j in range(depth + 1))
-        return Classification("non-bauer", e_inf=coeffs, total=total)
-    if tail.kind == "equal-to-k":
-        return Classification("bauer")  # sizes are >= 1, the sum diverges
-    # geometric with positive base
-    if tail.ratio >= 1:
-        return Classification("bauer")
-    if t.head:
+    elif tail.kind == "equal-to-k" or tail.ratio >= 1:
+        return Classification("bauer")  # sizes k_n >= 1 or a ratio >= 1: the sum diverges
+    elif t.head:
         # the head's last value is repeated down the tail with ratio q
         total = sum(t.head) + t.head[-1] * tail.ratio / (1 - tail.ratio)
     else:

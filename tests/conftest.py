@@ -313,12 +313,6 @@ class ReferenceMap:
         )
 
     @staticmethod
-    def identity(n: int) -> "ReferenceMap":
-        return ReferenceMap(
-            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-        )
-
-    @staticmethod
     def from_columns(columns: Sequence) -> "ReferenceMap":
         if not columns:
             raise ValueError("need at least one column")
@@ -430,7 +424,7 @@ _RULE_NAMES = {
 def _top_failure(prefix: BratteliPrefix, i: int, r: int) -> tuple[int, str] | None:
     mat = prefix.matrices[i]
     for j in range(r):
-        row = mat.row(j)
+        row = mat.entries[j]
         for k in range(mat.cols):
             if row[k] != (1 if k == j else 0):
                 return 1, f"row {j} of A_{i} is not the identity row e_{j}"

@@ -379,6 +379,40 @@ class TestIntertwineFiles:
         assert code == 1 and err.startswith("bratteli: not valid JSON:")
 
 
+class TestOneDecodeOneEncode:
+    """Each input file is decoded once, and a report's diagram goes into the
+    report's JSON without a decode of its own rendering."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        seen = []
+        original = json.loads
+
+        def counting(text, *args, **kwargs):
+            seen.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        return seen
+
+    def test_intertwine_gaps(self, capsys, tmp_path, ex43_file, decodes):
+        targets = tmp_path / "targets.json"
+        targets.write_text('{"format":"targets","points":[["1"],["1/2","1/2"],["1/4","1/4","1/2"]]}')
+        code, out, _ = run_capture(capsys, ["intertwine", "gaps", ex43_file, str(targets)])
+        assert code == 0 and out.startswith("gap_0 = ")
+        assert len(decodes) == 2
+
+    def test_synthesize_json(self, capsys, decodes):
+        code, out, _ = run_capture(capsys, ["synthesize", "--stationary", "geometric:1/2", "--levels", "6", "--json"])
+        assert code == 0 and out.startswith('{"certificate": ')
+        assert decodes == []
+
+    def test_quotient_json(self, capsys, ex57b_file, decodes):
+        code, out, _ = run_capture(capsys, ["ideals", "quotient", ex57b_file, "--profile", "zero", "--json"])
+        assert code == 0 and '"diagram": {"format": "general"' in out
+        assert len(decodes) == 1
+
+
 class TestDotExport:
     def test_counts_match_direct_tally(self, capsys):
         prefix = embed(all_ones_spec(2), 2)

@@ -31,7 +31,7 @@ class TestTypes:
             MultiplicityMatrix([[1, -1]])
         m = MultiplicityMatrix([[1, 0], [2, 3]])
         assert m.apply((1, 1)) == (1, 5)
-        assert m.column(0) == (1, 2)
+        assert m.entries == ((1, 0), (2, 3))
 
     def test_triangular_spec_validation(self):
         with pytest.raises(ValueError):

@@ -204,4 +204,4 @@ class TestFixtures:
     def test_ex57b_matrix_shape(self, ex57b):
         for n, mat in enumerate(ex57b.matrices):
             assert mat.rows == n + 2 and mat.cols == n + 1
-            assert mat.row(n + 1) == (0,) * n + (2,)
+            assert mat.entries[n + 1] == (0,) * n + (2,)

@@ -164,9 +164,10 @@ class TestEnumerate:
         prefix = random_unital_prefix(rng, max_depth=2, max_width=4)
         assert enumerate_ideals(prefix) == brute_force_profiles(prefix)
 
-    def test_width_cap(self, ex57b):
-        with pytest.raises(BratteliError):
-            enumerate_ideals(ex57b, max_width=4)
+    def test_width_cap(self, ex57b, monkeypatch):
+        monkeypatch.setenv("BRATTELI_MAX_WIDTH", "4")
+        with pytest.raises(BratteliError, match="^width cap exceeded: "):
+            enumerate_ideals(ex57b)
 
     def test_every_output_is_valid(self, ex57b):
         prefix = ex57b.truncate(5)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -60,8 +61,8 @@ class TestMapDistance:
         assert map_distance(f, g, "l1") == 2
 
     def test_shape_mismatch(self):
-        f = StochasticAffineMap.identity(2)
-        g = StochasticAffineMap.identity(3)
+        f = StochasticAffineMap.vertex_fixing(SimplexPoint.barycenter(2))
+        g = StochasticAffineMap.vertex_fixing(SimplexPoint.barycenter(3))
         with pytest.raises(BratteliError):
             map_distance(f, g)
 
@@ -133,12 +134,42 @@ class TestGapSeries:
 
     def test_l2_mode_reports_squares_only(self, halving_setup):
         _, spec, cert, top, bottom = halving_setup
-        top2 = MapSequence(top.maps, "l2")
-        bot2 = MapSequence(bottom.maps, "l2")
-        series = gap_series(IntertwiningData(top2, bot2))
+        series = gap_series(IntertwiningData(top, bottom, metric="l2"))
         assert series.partial_sums is None and series.certificate is None
         for n, g in enumerate(series.gaps):
             assert g == cert.levels[n].gap_l2sq
+
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    def test_gaps_follow_the_intertwinings_metric(self, halving_setup, metric):
+        _, _, _, top, bottom = halving_setup
+        series = gap_series(IntertwiningData(top, bottom, TailBound.zero(), metric))
+        assert series.metric == metric
+        assert series.gaps == tuple(map_distance(f, g, metric) for f, g in zip(top.maps, bottom.maps))
+
+
+class TestMetric:
+    """The metric belongs to the intertwining; a tower carries only maps."""
+
+    def test_default_is_l1(self, halving_setup):
+        _, _, _, top, bottom = halving_setup
+        assert IntertwiningData(top, bottom).metric == "l1"
+
+    def test_unknown_metric_rejected(self, halving_setup):
+        _, _, _, top, bottom = halving_setup
+        with pytest.raises(BratteliError, match="^unknown metric 'l3'$"):
+            IntertwiningData(top, bottom, metric="l3")
+
+    def test_map_sequence_holds_only_maps(self, halving_setup):
+        _, _, _, top, _ = halving_setup
+        assert [f.name for f in dataclasses.fields(MapSequence)] == ["maps"]
+        with pytest.raises(TypeError):
+            MapSequence(top.maps, "l2")
+
+    def test_estimate_refuses_l2(self, halving_setup):
+        _, _, _, top, bottom = halving_setup
+        data = IntertwiningData(top, bottom, TailBound.zero(), "l2")
+        with pytest.raises(BratteliError, match="^estimates are certified in the l1 metric only$"):
+            limit_vertex_estimate(data, 0, 0, 2)
 
 
 class TestComposeRange:
@@ -154,8 +185,8 @@ class TestComposeRange:
         assert composed.column_point(3) == pushed
 
     def test_identity_sequence(self):
-        seq = MapSequence([StochasticAffineMap.identity(3)] * 4)
-        assert compose_range(seq, 0, 4).entries == StochasticAffineMap.identity(3).entries
+        identity = StochasticAffineMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert compose_range(MapSequence([identity] * 4), 0, 4) == identity
 
     def test_associativity(self, halving_setup):
         _, _, _, _, bottom = halving_setup

@@ -54,7 +54,7 @@ class TestCheckRfd:
         assert validate_witness(ex57a_right, result.witness)
 
     def test_identity_diagram_fully_stable(self):
-        prefix = BratteliPrefix([[2, 3]] * 4, [MultiplicityMatrix.identity(2)] * 3)
+        prefix = BratteliPrefix([[2, 3]] * 4, [MultiplicityMatrix([[1, 0], [0, 1]])] * 3)
         result = check_rfd(prefix)
         assert result.consistent
         assert result.witness.r == (2, 2, 2, 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bratteli import (
     BratteliError,
+    InsufficientPrefixError,
     SimplexPoint,
     StationarySpec,
     TailRule,
@@ -24,8 +25,10 @@ from bratteli import (
 )
 from bratteli import synthesis
 from bratteli.cli import run
+from bratteli.formats import emit_diagram
 
 from conftest import (
+    all_ones_spec,
     reference_approximation,
     reference_g_failing_levels,
     reference_level,
@@ -493,3 +496,38 @@ class TestGConsistency:
         assert targets.incoherent_levels(depth) == reference_g_failing_levels(
             targets, depth, budget
         )
+
+
+class TestEqualToKSizesOnce:
+    """An equal-to-k tail computes its spec's size sequence once per rule,
+    not once per weight."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = synthesis.characteristic_sequence
+
+        def counting(spec, count):
+            seen.append(count)
+            return original(spec, count)
+
+        monkeypatch.setattr(synthesis, "characteristic_sequence", counting)
+        return seen
+
+    def test_synthesize(self, calls):
+        spec = all_ones_spec(40)
+        synthesize(StationarySpec((), TailRule.equal_to_k(spec)).targets(), 40, exact=True)
+        assert calls == [40]
+
+    def test_limit_restrict(self, calls, tmp_path, capsys):
+        path = tmp_path / "ones.json"
+        path.write_text(emit_diagram(all_ones_spec(30)))
+        assert run(["traces", "limit-restrict", str(path), "--level", "30"]) == 0
+        assert calls == [30]
+
+    def test_values_and_error_past_the_end(self):
+        spec = all_ones_spec(6)
+        weights = StationarySpec((), TailRule.equal_to_k(spec))
+        assert [weights.value(j) for j in range(7)] == list(characteristic_sequence(spec, 6))
+        with pytest.raises(InsufficientPrefixError, match="^spec defines 6 multiplicity vectors, need 7$"):
+            weights.value(7)

@@ -66,7 +66,7 @@ class TestInducedTraceMap:
         assert m.column_point(3).coords == (F(1, 4), F(1, 4), F(1, 2))
 
     def test_identity_step(self):
-        m = induced_trace_map(MultiplicityMatrix.identity(3), [1, 2, 3], [1, 2, 3])
+        m = induced_trace_map(MultiplicityMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [1, 2, 3], [1, 2, 3])
         assert m.entries == tuple(
             tuple(F(int(i == j)) for j in range(3)) for i in range(3)
         )
@@ -103,7 +103,7 @@ class TestPushPoint:
         assert push_point(prefix, SimplexPoint.vertex(4, 3), 3, 2) == zeta(ones12, 2)
 
     def test_barycenter_through_identity_steps(self):
-        prefix = BratteliPrefix([[2, 3]] * 3, [MultiplicityMatrix.identity(2)] * 2)
+        prefix = BratteliPrefix([[2, 3]] * 3, [MultiplicityMatrix([[1, 0], [0, 1]])] * 2)
         b = SimplexPoint.barycenter(2)
         assert push_point(prefix, b, 2, 0) == b
 
