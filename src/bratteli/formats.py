@@ -10,10 +10,11 @@ plus a targets file for synthesis inputs:
     {"format": "targets", "points": [["1"], ["2/3", "1/3"], ...]}
 
 Parsing is strict: unknown keys are rejected so a mistyped field cannot be
-silently ignored.  Emission is canonical (sorted keys, fixed separators), and
-parse(emit(x)) is the identity on canonical form.  Rationals travel as "p/q"
-strings (or bare integer strings); a target coordinate may also be a JSON
-integer, but never a float, boolean, null, list or object.
+silently ignored.  Diagram emission is canonical (sorted keys, fixed
+separators), and parse(emit(x)) is the identity on canonical form.
+Rationals travel as "p/q" strings (or bare integer strings); a target
+coordinate may also be a JSON integer, but never a float, boolean, null,
+list or object.
 """
 
 from __future__ import annotations
@@ -163,10 +164,3 @@ def _targets_from_json(obj: Any) -> list[SimplexPoint]:
             raise FormatError(f"point {n}: {exc}") from exc
     return out
 
-
-def emit_targets(points) -> str:
-    obj = {
-        "format": "targets",
-        "points": [[fraction_to_str(c) for c in p.coords] for p in points],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

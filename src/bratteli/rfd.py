@@ -174,17 +174,14 @@ def _strict_search(prefix: BratteliPrefix, ji: bool):
     return rfd_seq, None
 
 
-def _top_break(t_row: int, t_size: int, a: int, b: int) -> tuple[int, int] | None:
-    """(code, s): the top rules of a matrix with bounds t_row, t_size broken
-    at the smallest stable count s in [a, b] giving the largest code.  A
-    changed size (code 2) is reported for s in (t_size, t_row], a
-    non-identity row (code 1) for s > t_row; None when [a, b] breaks
-    neither."""
-    s = max(a, t_size + 1)
-    if t_size < t_row and s <= min(b, t_row):
-        return 2, s
-    s = max(a, t_row + 1)
-    return (1, s) if s <= b else None
+def _top_break(t_row: int, t_size: int, a: int, b: int) -> int | None:
+    """The largest code of a top rule of a matrix with bounds t_row, t_size
+    broken by some stable count s in [a, b].  A changed size (code 2) is
+    broken by s in (t_size, t_row], a non-identity row (code 1) by
+    s > t_row; None when [a, b] breaks neither."""
+    if max(a, t_size + 1) <= min(b, t_row):
+        return 2
+    return 1 if max(a, t_row + 1) <= b else None
 
 
 def _zero_detail(rows, r: int, r_next: int) -> str:
@@ -201,12 +198,12 @@ def _failure_reason(prefix: BratteliPrefix, bounds, i: int, ji: bool, rfd_seq) -
 
     Every transition (r -> r_next) out of the forward reach fails; the
     reason is the first rule broken (top rules, A22, positivity under JI,
-    the next matrix's top rules) by the transition of largest
-    (code, r, -r_next).  For a fixed r the rule broken depends only on
-    where r_next lies against need_i and t_{i+1}, so the best r_next for
-    each r is read off the bounds.  Under JI, when the RFD rules hold at
-    every matrix, the reason is the positivity failure on the edge of the
-    RFD witness."""
+    the next matrix's top rules) by the transition of largest (code, r).
+    For a fixed r the rule broken depends only on where r_next lies against
+    need_i and t_{i+1}, so each r gives one code, read off the bounds; only
+    a positivity failure (code 4) names r_next, and it is need_i.  Under
+    JI, when the RFD rules hold at every matrix, the reason is the
+    positivity failure on the edge of the RFD witness."""
     rows = prefix.matrices[i].entries
     if ji and rfd_seq is not None:
         r, r_next = rfd_seq[i], rfd_seq[i + 1]
@@ -218,22 +215,22 @@ def _failure_reason(prefix: BratteliPrefix, bounds, i: int, ji: bool, rfd_seq) -
     cands = []
     for r in range(lo, min(hi, w_next) + 1):
         if r > t:
-            code, r_next = _top_break(t_row, t_size, r, r)
+            code = _top_break(t_row, t_size, r, r)
         elif ji and r < z and need is not None and need <= w_next:
-            code, r_next = 4, need
+            code = 4
         elif r < len(rows[0]):
-            code, r_next = 3, r
+            code = 3
         # Else r = t_i = need_i = cols: matrix i admits every r_next and
         # the next matrix's top rules decide.
-        elif i + 1 < len(bounds) and (hit := _top_break(*bounds[i + 1][:2], r, w_next)):
-            code, r_next = hit
+        elif i + 1 < len(bounds):
+            code = _top_break(*bounds[i + 1][:2], r, w_next)
         else:
             continue
-        cands.append((code, r, -r_next))
-    code, r, r_next = max(cands)
-    r_next = -r_next
+        if code:
+            cands.append((code, r))
+    code, r = max(cands)
     if code == 4:
-        detail = _zero_detail(rows, r, r_next)
+        detail = _zero_detail(rows, r, need)
     elif code == 3:
         detail = f"column {r} has no edge into a new stable line"
     else:

@@ -5,8 +5,9 @@ as integer numerators over one positive denominator, reduced by their gcd.
 Affine maps between simplices are column-stochastic rational matrices
 acting in barycentric coordinates, each column stored as such a point, so
 checking, applying and composing maps, and the distances, are integer
-arithmetic.  `Fraction`s appear only in the views a caller reads (a point's
-`coords`, items and iteration, a map's `entries`).  Equality and distance
+arithmetic.  A map is built from its column points and has no matrix view
+of its own; `Fraction`s appear only in the views a caller reads of a
+point (its `coords`, items and iteration).  Equality and distance
 comparisons are exact; squared Euclidean distances are used wherever the
 plain distance would be irrational.
 """
@@ -131,21 +132,6 @@ class SimplexPoint:
         return tuple(f"{n}/{self.den}" for n in self.nums)
 
 
-def _column_points(columns: list[tuple[tuple[int, ...], int]]) -> tuple[SimplexPoint, ...]:
-    """Non-empty, same-height integer columns (nums, den) as checked points,
-    with the map's error texts: a negative entry in any column is reported
-    before a bad sum in any column."""
-    if any(den < 1 or min(nums) < 0 for nums, den in columns):
-        raise ValueError("entries must be non-negative")
-    points = []
-    for j, (nums, den) in enumerate(columns):
-        try:
-            points.append(SimplexPoint._from_ints(nums, den))
-        except ValueError:
-            raise ValueError(f"column {j} sums to {Fraction(sum(nums), den)}, expected 1") from None
-    return tuple(points)
-
-
 @dataclass(frozen=True)
 class StochasticAffineMap:
     """Affine map between simplices given by a column-stochastic matrix.
@@ -154,42 +140,22 @@ class StochasticAffineMap:
     point takes the corresponding convex combination of columns.  Every such
     map is automatically nonexpansive for the l1 (total variation) metric.
 
-    Each column is stored as its `SimplexPoint`, so two maps are equal
-    exactly when their matrices are.  `apply` and `compose` work on the
-    columns' integers over the lcm of their denominators; `entries` is a
-    `Fraction` view built on each read.
+    A map is its column points: it is built from them, and two maps are
+    equal exactly when their columns are.  `apply` and `compose` work on the
+    columns' integers over the lcm of their denominators.
     """
 
     _columns: tuple[SimplexPoint, ...]
 
-    def __init__(self, entries: Iterable[Iterable]) -> None:
-        rows = tuple(_as_fraction_tuple(r) for r in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must be non-empty")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "_columns", _column_points([_over_lcm(column) for column in zip(*rows)]))
-
-    @classmethod
-    def _from_int_columns(cls, columns: Iterable[tuple[Sequence[int], int]]) -> "StochasticAffineMap":
-        """Trusted constructor from integer columns (nums, den), for maps the
-        package builds itself.  Checks shape, sign and each column's sum as
-        the row constructor does, with the same error texts."""
-        columns = [(tuple(nums), den) for nums, den in columns]
-        if not columns or not columns[0][0]:
-            raise ValueError("matrix must be non-empty")
-        if any(len(nums) != len(columns[0][0]) for nums, _ in columns):
-            raise ValueError("ragged matrix")
-        return cls._from_points(_column_points(columns))
-
-    @classmethod
-    def _from_points(cls, columns: tuple[SimplexPoint, ...]) -> "StochasticAffineMap":
-        """Trusted constructor from column points of one dimension."""
+    def __init__(self, columns: Iterable[SimplexPoint]) -> None:
+        """The map whose column j is the j-th of the given points, which
+        share one dimension."""
+        columns = tuple(columns)
         if not columns:
             raise ValueError("matrix must be non-empty")
-        out = object.__new__(cls)
-        object.__setattr__(out, "_columns", columns)
-        return out
+        if any(c.dim != columns[0].dim for c in columns):
+            raise ValueError("ragged matrix")
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def rows(self) -> int:
@@ -198,11 +164,6 @@ class StochasticAffineMap:
     @property
     def cols(self) -> int:
         return len(self._columns)
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The matrix as rows of `Fraction`s (a view built on each read)."""
-        return tuple(zip(*(c.coords for c in self._columns)))
 
     def column_point(self, j: int) -> SimplexPoint:
         return self._columns[j]
@@ -230,13 +191,13 @@ class StochasticAffineMap:
         """self o inner: apply `inner` first."""
         if self.cols != inner.rows:
             raise ValueError("composition shape mismatch")
-        return StochasticAffineMap._from_int_columns(self._combine(c.nums for c in inner._columns))
+        return StochasticAffineMap(
+            SimplexPoint._from_ints(nums, den) for nums, den in self._combine(c.nums for c in inner._columns)
+        )
 
     @staticmethod
     def vertex_fixing(new_vertex_image: SimplexPoint) -> "StochasticAffineMap":
         """Map from an (n+1)-vertex simplex onto an n-vertex one that fixes
         the first n vertices and sends the last vertex to the given point."""
         n = new_vertex_image.dim
-        return StochasticAffineMap._from_points(
-            (*(SimplexPoint.vertex(n, j) for j in range(n)), new_vertex_image)
-        )
+        return StochasticAffineMap((*(SimplexPoint.vertex(n, j) for j in range(n)), new_vertex_image))

@@ -198,7 +198,6 @@ def approximate_on_simplex(
     xi: SimplexPoint,
     eps,
     exact: bool = False,
-    scan_cap: int = _SCAN_CAP,
 ) -> tuple[int, ...]:
     """Positive integers l_0..l_n with |l_j / sum(l) - xi_j| < eps for all j.
 
@@ -223,7 +222,7 @@ def approximate_on_simplex(
             )
         return ps
     eps_num, eps_den = eps.numerator, eps.denominator
-    for d in range(1, scan_cap + 1):
+    for d in range(1, _SCAN_CAP + 1):
         scaled = [p * d for p in ps]
         base = [x // q for x in scaled]
         remainders = [(x % q, -j) for j, x in enumerate(scaled)]
@@ -235,7 +234,7 @@ def approximate_on_simplex(
         bound = eps_num * total * q
         if all(abs(l * q - p * total) * eps_den < bound for l, p in zip(ell, ps)):
             return tuple(ell)
-    raise BratteliError(f"no approximation found within denominator cap {scan_cap}")
+    raise BratteliError(f"no approximation found within denominator cap {_SCAN_CAP}")
 
 
 @dataclass(frozen=True)

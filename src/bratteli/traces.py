@@ -56,8 +56,8 @@ def induced_trace_map(
     sum to 1.
     """
     src, dst = _unital_step(matrix, u_src, u_dst)
-    return StochasticAffineMap._from_int_columns(
-        (tuple(map(mul, row, src)), l) for row, l in zip(matrix.entries, dst)
+    return StochasticAffineMap(
+        SimplexPoint._from_ints(map(mul, row, src), l) for row, l in zip(matrix.entries, dst)
     )
 
 

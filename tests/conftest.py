@@ -182,8 +182,12 @@ def random_point(rng: random.Random, dim: int) -> SimplexPoint:
 
 
 def random_stochastic_map(rng: random.Random, rows: int, cols: int) -> StochasticAffineMap:
-    columns = [random_point(rng, rows) for _ in range(cols)]
-    return StochasticAffineMap(ReferenceMap.from_columns(columns).entries)
+    return StochasticAffineMap([random_point(rng, rows) for _ in range(cols)])
+
+
+def column_coords(m) -> tuple[tuple[Fraction, ...], ...]:
+    """The coordinates of each column point of a map or a `ReferenceMap`."""
+    return tuple(m.column_point(j).coords for j in range(m.cols))
 
 
 # --- the Fraction oracles for trace-simplex points and maps -----------------
@@ -314,11 +318,13 @@ class ReferenceMap:
 
     @staticmethod
     def from_columns(columns: Sequence) -> "ReferenceMap":
+        """The map with the given column points, with the shape error texts
+        of `StochasticAffineMap`."""
         if not columns:
-            raise ValueError("need at least one column")
+            raise ValueError("matrix must be non-empty")
         size = columns[0].dim
         if any(c.dim != size for c in columns):
-            raise ValueError("columns must share a dimension")
+            raise ValueError("ragged matrix")
         return ReferenceMap(
             tuple(tuple(c[i] for c in columns) for i in range(size))
         )

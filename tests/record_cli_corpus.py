@@ -47,6 +47,12 @@ from bratteli.fixtures import FIXTURE_NAMES, fixture_diagram, fixtures  # noqa: 
 TARGETS = '{"format":"targets","points":[["1"],["2/3","1/3"],["1/2","1/4","1/4"]]}\n'
 BAD_TARGETS = '{"format":"targets","points":[["1"],["1/2","1/3"]]}\n'
 ZERO_SIZE = '{"format":"general","unital":true,"u1":[0,1],"matrices":[[[1,0],[0,1]]]}\n'
+INVALID_PREFIX = '{"format":"general","unital":true,"u1":[1,1],"matrices":[[[1,0],[0,0]]]}\n'
+UNKNOWN_KEY = '{"format":"triangular","k0":1,"mvectors":[[1]],"colour":"red"}\n'
+UNKNOWN_AND_MISSING = '{"format":"general","u1":[1],"bogus":0}\n'
+MISSING_POINTS = '{"format":"targets"}\n'
+ZERO_DENOMINATOR = '{"format":"targets","points":[["1"],["1/0","1"]]}\n'
+OFF_THE_LINES = '{"format":"general","unital":true,"u1":[1],"matrices":[[[1],[1],[1]]]}\n'
 
 
 def case(argv, files=None, stdin=None, env=None, writes=()):
@@ -212,6 +218,27 @@ def bench_cases() -> list[dict]:
     return out
 
 
+def reach_cases() -> list[dict]:
+    """Paths the cases above miss: an invalid general prefix, the key and
+    rational errors of the file formats, a family off the stable lines, a
+    zero weight head and the fixtures not built from the all-ones family.
+    They come last, so the cases above keep their indices."""
+    errors = [
+        case(["check-rfd", "invalid.json"], {"invalid.json": INVALID_PREFIX}),
+        case(["check-rfd", "unknown.json"], {"unknown.json": UNKNOWN_KEY}),
+        case(["check-rfd", "keys.json"], {"keys.json": UNKNOWN_AND_MISSING}),
+        case(["synthesize", "--targets", "nopoints.json", "--levels", "1"], {"nopoints.json": MISSING_POINTS}),
+        case(["synthesize", "--targets", "zeroden.json", "--levels", "1"], {"zeroden.json": ZERO_DENOMINATOR}),
+        case(["traces", "limit-restrict", "--t", "1,x", "--level", "1"]),
+    ]
+    answers = [
+        case(["traces", "label", "offline.json", "--family", "1;0,0,1"], {"offline.json": OFF_THE_LINES}),
+        case(["synthesize", "--stationary", "list:0,1", "--levels", "2"]),
+    ]
+    shown = [case(["fixtures", name]) for name in ("ex44", "ex57A-left", "ex57A-right")]
+    return errors + answers + shown + [{**c, "argv": c["argv"] + ["--json"]} for c in answers]
+
+
 def replay(c: dict, files: dict, workdir: Path) -> dict:
     """Run one case in `workdir`, given the file table; return its outcome
     fields."""
@@ -245,7 +272,7 @@ def replay(c: dict, files: dict, workdir: Path) -> dict:
 
 def main() -> None:
     cases = [c for name in FIXTURE_NAMES for c in fixture_cases(name)]
-    cases += verb_cases() + bench_cases()
+    cases += verb_cases() + bench_cases() + reach_cases()
     files = {}
     for c in cases:
         for name, text in c["files"].items():

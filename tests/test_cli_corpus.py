@@ -3,8 +3,8 @@
 - The recorded corpus (`data/cli_corpus.json`, written by
   `record_cli_corpus.py`): every verb and action on every fixture, with and
   without --json, one op of each benchmark rung family, the leftover-file
-  case and input errors, each replayed for identical stdout, stderr, exit
-  code and written files.
+  case, input errors and the paths those miss, each replayed for identical
+  stdout, stderr, exit code and written files.
 - Help, usage and argparse's error texts change between Python patch
   releases, so they are compared in the running interpreter: `run` against
   the same `run` with the parser of every verb.

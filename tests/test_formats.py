@@ -13,7 +13,6 @@ from bratteli import BratteliPrefix, FormatError, SimplexPoint, TriangularSpec
 from bratteli.cli import run
 from bratteli.formats import (
     emit_diagram,
-    emit_targets,
     fraction_from_str,
     fraction_to_str,
     parse_diagram,
@@ -83,14 +82,6 @@ class TestDiagramFiles:
 
 
 class TestTargetsFiles:
-    def test_roundtrip(self):
-        points = [
-            SimplexPoint([F(1)]),
-            SimplexPoint([F(2, 3), F(1, 3)]),
-            SimplexPoint([F(1, 2), F(1, 4), F(1, 4)]),
-        ]
-        assert parse_targets(emit_targets(points)) == points
-
     def test_dimension_check(self):
         with pytest.raises(FormatError):
             parse_targets('{"format":"targets","points":[["1/2","1/2"]]}')

@@ -175,7 +175,7 @@ class TestMetric:
 class TestComposeRange:
     def test_single_map(self, halving_setup):
         _, _, _, top, _ = halving_setup
-        assert compose_range(top, 3, 4).entries == top.maps[3].entries
+        assert compose_range(top, 3, 4) == top.maps[3]
 
     def test_matches_iterated_push(self, ones12):
         prefix = embed_triangular(ones12, 4)
@@ -185,14 +185,14 @@ class TestComposeRange:
         assert composed.column_point(3) == pushed
 
     def test_identity_sequence(self):
-        identity = StochasticAffineMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        identity = StochasticAffineMap(SimplexPoint.vertex(3, j) for j in range(3))
         assert compose_range(MapSequence([identity] * 4), 0, 4) == identity
 
     def test_associativity(self, halving_setup):
         _, _, _, _, bottom = halving_setup
         whole = compose_range(bottom, 0, 8)
         split = compose_range(bottom, 0, 3).compose(compose_range(bottom, 3, 8))
-        assert whole.entries == split.entries
+        assert whole == split
 
     def test_bad_range(self, halving_setup):
         _, _, _, top, _ = halving_setup

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bratteli import (
+    SimplexPoint,
     StationarySpec,
     StochasticAffineMap,
     TriangularSpec,
@@ -67,7 +68,7 @@ def stochastic_maps(draw, rows, cols):
         )
         total = sum(weights)
         columns.append(tuple(w / total for w in weights))
-    return StochasticAffineMap(tuple(tuple(c[i] for c in columns) for i in range(rows)))
+    return StochasticAffineMap(SimplexPoint(c) for c in columns)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,9 @@
 """The integer kernels of `SimplexPoint` and `StochasticAffineMap` against
 the Fraction oracles `ReferencePoint` and `ReferenceMap`: views, equality,
-distances, apply, compose, the constructors, the induced trace maps, map
-distances and every constructor error text; and a work guard that the
-package's own arithmetic never goes through the public point constructor."""
+distances, apply, compose, the map built from its column points, the
+induced trace maps, map distances and every constructor error text; and a
+work guard that the package's own arithmetic never goes through the public
+point constructor."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from conftest import (
     ReferenceMap,
     ReferencePoint,
     all_ones_spec,
+    column_coords,
     random_unital_prefix,
     random_unital_step,
     reference_induced_trace_map,
@@ -46,94 +48,82 @@ def points(dim: int):
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None):
-    """Rows of a random column-stochastic Fraction matrix."""
+def map_columns(draw, rows=None, cols=None):
+    """The column points of a random column-stochastic map."""
     rows = draw(st.integers(1, 4)) if rows is None else rows
     cols = draw(st.integers(1, 4)) if cols is None else cols
-    columns = draw(st.lists(points(rows), min_size=cols, max_size=cols))
-    return [[c[i] for c in columns] for i in range(rows)]
+    return draw(st.lists(points(rows), min_size=cols, max_size=cols))
 
 
-def int_columns(rows):
-    """The columns of a non-empty, non-ragged matrix as (nums, den) over
-    the lcm of each column's denominators."""
-    out = []
-    for column in zip(*(tuple(F(v) for v in r) for r in rows)):
-        den = lcm(*(v.denominator for v in column))
-        out.append((tuple(v.numerator * (den // v.denominator) for v in column), den))
-    return out
-
-
-def outcome(build, rows):
+def outcome(build, columns):
     try:
-        return "ok", build(rows).entries
+        return "ok", column_coords(build(columns))
     except ValueError as exc:
         return "error", str(exc)
 
 
 def assert_matches(m: StochasticAffineMap, ref: ReferenceMap) -> None:
     assert (m.rows, m.cols) == (ref.rows, ref.cols)
-    assert m.entries == ref.entries
-    for j in range(m.cols):
-        assert m.column_point(j).coords == ref.column_point(j).coords
+    assert column_coords(m) == column_coords(ref)
 
 
 class TestViewsAndEquality:
     @settings(max_examples=100, deadline=None)
-    @given(matrices())
-    def test_row_constructor_matches_oracle(self, rows):
-        assert_matches(StochasticAffineMap(rows), ReferenceMap(rows))
+    @given(map_columns())
+    def test_constructor_matches_oracle(self, columns):
+        m = StochasticAffineMap(iter(columns))
+        assert_matches(m, ReferenceMap.from_columns(columns))
+        assert all(m.column_point(j) is c for j, c in enumerate(columns))
 
     @settings(max_examples=100, deadline=None)
-    @given(matrices(), st.data())
-    def test_equal_maps_have_equal_storage(self, rows, data):
-        m = StochasticAffineMap(rows)
+    @given(map_columns(), st.data())
+    def test_equal_maps_have_equal_storage(self, columns, data):
+        m = StochasticAffineMap(columns)
         scales = data.draw(st.lists(st.integers(1, 50), min_size=m.cols, max_size=m.cols))
-        scaled = StochasticAffineMap._from_int_columns(
-            (tuple(n * c for n in nums), den * c) for (nums, den), c in zip(int_columns(rows), scales)
-        )
         copies = (
-            scaled,
-            StochasticAffineMap(m.entries),
+            StochasticAffineMap(
+                SimplexPoint._from_ints([n * k for n in c.nums], c.den * k) for c, k in zip(columns, scales)
+            ),
+            StochasticAffineMap(SimplexPoint(coords) for coords in column_coords(m)),
         )
         for other in copies:
             assert other == m and hash(other) == hash(m)
             assert other._columns == m._columns
 
     def test_distinct_maps_differ(self):
-        f = StochasticAffineMap([[1, F(1, 2)], [0, F(1, 2)]])
-        g = StochasticAffineMap([[1, F(1, 3)], [0, F(2, 3)]])
-        assert f != g and f.entries != g.entries
+        f = StochasticAffineMap([SimplexPoint.vertex(2, 0), SimplexPoint([F(1, 2), F(1, 2)])])
+        g = StochasticAffineMap([SimplexPoint.vertex(2, 0), SimplexPoint([F(1, 3), F(2, 3)])])
+        assert f != g and column_coords(f) != column_coords(g)
 
     def test_immutable(self):
-        m = StochasticAffineMap([[1, 0], [0, 1]])
+        m = StochasticAffineMap([SimplexPoint.vertex(2, 0), SimplexPoint.vertex(2, 1)])
         with pytest.raises(dataclasses.FrozenInstanceError):
             m._columns = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            m.entries = ((F(1),),)
-        assert m == StochasticAffineMap([[1, 0], [0, 1]])
+        assert m == StochasticAffineMap([SimplexPoint.vertex(2, 0), SimplexPoint.vertex(2, 1)])
 
 
 class TestArithmetic:
     @settings(max_examples=100, deadline=None)
-    @given(matrices(), st.data())
-    def test_apply_matches_oracle(self, rows, data):
-        point = data.draw(points(len(rows[0])))
-        assert StochasticAffineMap(rows).apply(point).coords == ReferenceMap(rows).apply(point).coords
+    @given(map_columns(), st.data())
+    def test_apply_matches_oracle(self, columns, data):
+        point = data.draw(points(len(columns)))
+        got = StochasticAffineMap(columns).apply(point)
+        assert got.coords == ReferenceMap.from_columns(columns).apply(point).coords
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
     def test_compose_matches_oracle(self, rows, mid, cols, data):
-        outer = data.draw(matrices(rows, mid))
-        inner = data.draw(matrices(mid, cols))
+        outer = data.draw(map_columns(rows, mid))
+        inner = data.draw(map_columns(mid, cols))
         got = StochasticAffineMap(outer).compose(StochasticAffineMap(inner))
-        want = ReferenceMap(outer).compose(ReferenceMap(inner))
+        want = ReferenceMap.from_columns(outer).compose(ReferenceMap.from_columns(inner))
         assert_matches(got, want)
-        assert got == StochasticAffineMap(want.entries)
+        assert got == StochasticAffineMap(SimplexPoint(coords) for coords in column_coords(want))
 
     def test_shape_errors_match_oracle(self):
-        for build in (StochasticAffineMap, ReferenceMap):
-            f, g = build([[1, 0], [0, 1]]), build([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        for build in (StochasticAffineMap, ReferenceMap.from_columns):
+            f = build([SimplexPoint.vertex(2, j) for j in range(2)])
+            g = build([SimplexPoint.vertex(3, j) for j in range(3)])
             with pytest.raises(ValueError, match="^composition shape mismatch$"):
                 f.compose(g)
             with pytest.raises(ValueError, match="^map expects 2 coordinates, point has 3$"):
@@ -169,9 +159,9 @@ class TestMapDistance:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_matches_oracle(self, rows, cols, data):
-        a, b = data.draw(matrices(rows, cols)), data.draw(matrices(rows, cols))
+        a, b = data.draw(map_columns(rows, cols)), data.draw(map_columns(rows, cols))
         for metric in ("l1", "l2"):
-            want = reference_map_distance(ReferenceMap(a), ReferenceMap(b), metric)
+            want = reference_map_distance(ReferenceMap.from_columns(a), ReferenceMap.from_columns(b), metric)
             assert map_distance(StochasticAffineMap(a), StochasticAffineMap(b), metric) == want
 
     @settings(max_examples=100, deadline=None)
@@ -179,87 +169,47 @@ class TestMapDistance:
     def test_induced_map_against_random_map(self, seed, data):
         mat, u_src, u_dst = random_unital_step(random.Random(seed))
         f = induced_trace_map(mat, u_src, u_dst)
-        other = data.draw(matrices(f.rows, f.cols))
+        other = data.draw(map_columns(f.rows, f.cols))
         for metric in ("l1", "l2"):
-            want = reference_map_distance(reference_induced_trace_map(mat, u_src, u_dst), ReferenceMap(other), metric)
+            ref = reference_induced_trace_map(mat, u_src, u_dst)
+            want = reference_map_distance(ref, ReferenceMap.from_columns(other), metric)
             assert map_distance(f, StochasticAffineMap(other), metric) == want
 
 
 @st.composite
-def bad_matrices(draw):
-    """Row matrices of ints or Fractions that are often not column
-    stochastic: empty, ragged, with a negative entry or a bad column sum."""
-    kind = draw(st.sampled_from(["empty", "ragged", "negative", "sum", "ints", "valid"]))
+def bad_columns(draw):
+    """Column point lists that are often not a map's: empty, or ragged
+    (one column of another dimension inserted)."""
+    kind = draw(st.sampled_from(["empty", "ragged", "valid"]))
     if kind == "empty":
-        return draw(st.sampled_from([[], [[]], [[], []]]))
-    if kind == "ints":
-        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        return draw(st.lists(st.lists(st.integers(-2, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    rows = draw(matrices())
-    i = draw(st.integers(0, len(rows) - 1))
-    j = draw(st.integers(0, len(rows[0]) - 1))
+        return []
+    columns = draw(map_columns())
     if kind == "ragged":
-        if draw(st.booleans()) and len(rows[i]) > 1:
-            rows[i] = rows[i][:-1]
-        else:
-            rows[i] = rows[i] + [F(0)]
-        if i == 0:
-            rows.append(list(rows[0]) + [F(0)])
-    elif kind == "negative":
-        rows[i][j] = -draw(weights.filter(bool))
-    elif kind == "sum":
-        rows[i][j] += draw(weights.filter(bool)) * draw(st.sampled_from([1, -1]))
-    return rows
+        other = draw(st.integers(1, 5).filter(lambda dim: dim != columns[0].dim))
+        columns.insert(draw(st.integers(0, len(columns))), draw(points(other)))
+    return columns
 
 
 class TestErrorTexts:
     @settings(max_examples=200, deadline=None)
-    @given(bad_matrices())
-    def test_row_constructor_matches_oracle(self, rows):
-        assert outcome(StochasticAffineMap, rows) == outcome(ReferenceMap, rows)
-
-    @settings(max_examples=150, deadline=None)
-    @given(bad_matrices())
-    def test_trusted_constructor_matches_oracle(self, rows):
-        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-            return
-        got = outcome(lambda r: StochasticAffineMap._from_int_columns(int_columns(r)), rows)
-        assert got == outcome(ReferenceMap, rows)
-
-    @pytest.mark.parametrize(
-        "rows, text",
-        [
-            ([], "matrix must be non-empty"),
-            ([[]], "matrix must be non-empty"),
-            ([[1, 0], [0]], "ragged matrix"),
-            ([[1, -1], [0, 2]], "entries must be non-negative"),
-            ([[F(-1, 2), 1], [F(3, 2), 0]], "entries must be non-negative"),
-            ([[1, 1], [0, 1]], "column 1 sums to 2, expected 1"),
-            ([[1, F(1, 2)], [0, F(1, 3)]], "column 1 sums to 5/6, expected 1"),
-        ],
-    )
-    def test_fixed_texts(self, rows, text):
-        for build in (StochasticAffineMap, ReferenceMap):
-            with pytest.raises(ValueError) as exc:
-                build(rows)
-            assert str(exc.value) == text
+    @given(bad_columns())
+    def test_constructor_matches_oracle(self, columns):
+        assert outcome(StochasticAffineMap, columns) == outcome(ReferenceMap.from_columns, columns)
 
     @pytest.mark.parametrize(
         "columns, text",
         [
             ([], "matrix must be non-empty"),
-            ([((), 1)], "matrix must be non-empty"),
-            ([((1,), 1), ((0, 1), 1)], "ragged matrix"),
-            ([((2, -1), 1)], "entries must be non-negative"),
-            ([((0,), 0)], "entries must be non-negative"),
-            ([((1,), 1), ((1, 1), 3)], "ragged matrix"),
-            ([((1, 0), 1), ((1, 1), 3)], "column 1 sums to 2/3, expected 1"),
+            ((), "matrix must be non-empty"),
+            ([SimplexPoint.vertex(1, 0), SimplexPoint.vertex(2, 1)], "ragged matrix"),
+            ([SimplexPoint.vertex(2, 0), SimplexPoint.vertex(2, 1), SimplexPoint.barycenter(3)], "ragged matrix"),
         ],
     )
-    def test_trusted_fixed_texts(self, columns, text):
-        with pytest.raises(ValueError) as exc:
-            StochasticAffineMap._from_int_columns(columns)
-        assert str(exc.value) == text
+    def test_fixed_texts(self, columns, text):
+        for build in (StochasticAffineMap, ReferenceMap.from_columns):
+            with pytest.raises(ValueError) as exc:
+                build(columns)
+            assert str(exc.value) == text
 
 
 # --- points ----------------------------------------------------------------
@@ -363,7 +313,7 @@ class TestPublicPointConstructorUnused:
         point = SimplexPoint.normalized(range(1, 10))
         halving = StationarySpec(tail=TailRule.geometric(F(1, 2))).targets()
         explicit = TargetSequence.explicit([SimplexPoint.barycenter(n + 1) for n in range(6)])
-        identity = StochasticAffineMap([[int(i == j) for j in range(f.cols)] for i in range(f.cols)])
+        identity = StochasticAffineMap(SimplexPoint.vertex(f.cols, j) for j in range(f.cols))
         calls = []
         init = SimplexPoint.__init__
 

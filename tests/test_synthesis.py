@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,10 +83,8 @@ class TestApproximateOnSimplex:
     def test_cap_reported_not_wrong(self):
         # denominators up to 10 cannot hit 1/97 exactly, and the tolerance
         # rules out every inexact candidate
-        with pytest.raises(BratteliError):
-            approximate_on_simplex(
-                SimplexPoint([F(1, 97), F(96, 97)]), F(1, 10**9), scan_cap=10
-            )
+        with mock.patch.object(synthesis, "_SCAN_CAP", 10), pytest.raises(BratteliError):
+            approximate_on_simplex(SimplexPoint([F(1, 97), F(96, 97)]), F(1, 10**9))
 
 
 @st.composite
@@ -115,14 +114,15 @@ class TestScanAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(rational_points(), tolerances, st.integers(1, 600))
     def test_matches_fraction_scan(self, xi, eps, cap):
-        try:
-            expected = reference_approximation(xi, eps, cap)
-        except BratteliError as exc:
-            with pytest.raises(BratteliError) as got:
-                approximate_on_simplex(xi, eps, scan_cap=cap)
-            assert str(got.value) == str(exc)
-        else:
-            assert approximate_on_simplex(xi, eps, scan_cap=cap) == expected
+        with mock.patch.object(synthesis, "_SCAN_CAP", cap):
+            try:
+                expected = reference_approximation(xi, eps, cap)
+            except BratteliError as exc:
+                with pytest.raises(BratteliError) as got:
+                    approximate_on_simplex(xi, eps)
+                assert str(got.value) == str(exc)
+            else:
+                assert approximate_on_simplex(xi, eps) == expected
 
     @pytest.mark.parametrize("ratio", [F(1, 2), F(2, 3)])
     def test_geometric_levels_match(self, ratio):

@@ -27,27 +27,20 @@ from bratteli import (
 from bratteli.cli import run
 from bratteli.diagram import characteristic_sequence
 
-from conftest import ReferenceMap, random_point, random_unital_prefix, reference_induced_trace_map
+from conftest import ReferenceMap, column_coords, random_point, random_unital_prefix, reference_induced_trace_map
 
 
 def count_map_constructions(monkeypatch) -> dict[str, int]:
-    """Count `StochasticAffineMap` constructions from the next call on, by
-    path: the Fraction row constructor and the trusted column one, which
-    every map built from integer columns or column points goes through."""
-    calls = {"rows": 0, "columns": 0}
+    """Count `StochasticAffineMap` constructions from the next call on:
+    every map goes through its one constructor, from column points."""
+    calls = {"maps": 0}
     init = StochasticAffineMap.__init__
-    from_points = StochasticAffineMap._from_points
 
-    def counting_init(self, entries):
-        calls["rows"] += 1
-        init(self, entries)
-
-    def counting_columns(cls, columns):
-        calls["columns"] += 1
-        return from_points(columns)
+    def counting_init(self, columns):
+        calls["maps"] += 1
+        init(self, columns)
 
     monkeypatch.setattr(StochasticAffineMap, "__init__", counting_init)
-    monkeypatch.setattr(StochasticAffineMap, "_from_points", classmethod(counting_columns))
     return calls
 
 
@@ -67,9 +60,7 @@ class TestInducedTraceMap:
 
     def test_identity_step(self):
         m = induced_trace_map(MultiplicityMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [1, 2, 3], [1, 2, 3])
-        assert m.entries == tuple(
-            tuple(F(int(i == j)) for j in range(3)) for i in range(3)
-        )
+        assert m == StochasticAffineMap(SimplexPoint.vertex(3, j) for j in range(3))
 
     def test_non_unital_rejected(self):
         with pytest.raises(BratteliError):
@@ -176,33 +167,33 @@ class TestPushAgainstInducedMaps:
         prefix = embed_triangular(ones12, 10)
         calls = count_map_constructions(monkeypatch)
         assert push_point(prefix, SimplexPoint.barycenter(10), 9, 0) == SimplexPoint.vertex(1, 0)
-        assert calls == {"rows": 0, "columns": 0}
-        # the counters see both paths
+        assert calls == {"maps": 0}
+        # the counter sees every map
         level_maps(prefix)
-        StochasticAffineMap([[1]])
-        assert calls == {"rows": 1, "columns": prefix.depth - 1}
+        StochasticAffineMap([SimplexPoint.vertex(1, 0)])
+        assert calls == {"maps": prefix.depth}
 
 
 class TestPackageMapsSkipRowConstructor:
-    """The package's own maps are built from integer columns, never through
-    the Fraction row constructor."""
+    """The package builds each of its maps once, from integer column points,
+    and never through a `Fraction` matrix."""
 
     def test_level_maps(self, monkeypatch, ones12):
         prefix = embed_triangular(ones12, 10)
         calls = count_map_constructions(monkeypatch)
         maps = level_maps(prefix)
-        assert calls == {"rows": 0, "columns": prefix.depth - 1}
+        assert calls == {"maps": prefix.depth - 1}
         for n, m in enumerate(maps):
             ref = reference_induced_trace_map(prefix.matrices[n], prefix.levels[n], prefix.levels[n + 1])
-            assert m.entries == ref.entries
+            assert column_coords(m) == column_coords(ref)
 
     def test_target_map_sequence(self, monkeypatch):
         targets = StationarySpec(tail=TailRule.geometric(F(1, 2))).targets()
         calls = count_map_constructions(monkeypatch)
         seq = targets.map_sequence(8)
-        assert calls == {"rows": 0, "columns": 8}
+        assert calls == {"maps": 8}
         for n, m in enumerate(seq.maps):
-            assert m.entries == ReferenceMap.vertex_fixing(targets.point(n)).entries
+            assert column_coords(m) == column_coords(ReferenceMap.vertex_fixing(targets.point(n)))
 
 
 class TestLimitTraceRestriction:
