@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ from .dotexport import export_dot
 from .errors import BratteliError
 from .formats import (
     Diagram, diagram_json, emit_diagram, fraction_from_str, fraction_to_str, parse_diagram, parse_targets,
-    parse_targets_or_diagram,
+    parse_targets_or_diagram, point_from_coords,
 )
 from .ideals import (
     IdealProfile, close, enumerate_ideals, is_compact, just_infinite_evidence, primitive_profiles,
@@ -166,7 +167,7 @@ def _parse_stationary(rule: str) -> StationarySpec:
 
 
 def _parse_point(text: str) -> SimplexPoint:
-    return SimplexPoint([fraction_from_str(c) for c in text.split(",")])
+    return point_from_coords(text.split(","))
 
 
 def _map_sequence_from_file(path: str) -> MapSequence:
@@ -345,9 +346,7 @@ def _synthesize(args):
         for l in cert.levels
     ]
     if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump({"levels": levels}, fh, sort_keys=True, default=_jsonable)
-            fh.write("\n")
+        _write(args.certificate, _json_text({"levels": levels}))
     return {"command": "synthesize", "diagram": spec, "certificate": {"levels": levels}}, 0
 
 
@@ -403,8 +402,13 @@ def _jsonable(value):
     """The JSON form of the domain values a report may hold."""
     if isinstance(value, Fraction):
         return fraction_to_str(value)
-    if isinstance(value, SimplexPoint):
-        return [fraction_to_str(c) for c in value.coords]
+    if isinstance(value, SimplexPoint):  # fraction_to_str of each coordinate, from the integers
+        den = value.den
+        out = []
+        for n in value.nums:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
     if isinstance(value, IdealProfile):
         return [list(level) for level in value.T]
     return diagram_json(value)  # raises FormatError for a value of no JSON form

@@ -14,13 +14,16 @@ silently ignored.  Diagram emission is canonical (sorted keys, fixed
 separators), and parse(emit(x)) is the identity on canonical form.
 Rationals travel as "p/q" strings (or bare integer strings); a target
 coordinate may also be a JSON integer, but never a float, boolean, null,
-list or object.
+list or object.  `point_from_coords` reads the canonical coordinates of a
+point (JSON integers, ASCII digit strings and "p/q" of two of them) as
+integers and every other form through `fraction_from_str`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Any, Union
 
 from .diagram import BratteliPrefix, MultiplicityMatrix, TriangularSpec
@@ -42,6 +45,46 @@ def fraction_from_str(s) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational: {s!r}") from exc
+
+
+def _pair(c) -> tuple[int, int]:
+    """Numerator and positive denominator of one point coordinate.  A
+    canonical coordinate (a JSON int, a string of ASCII digits, or two such
+    strings around "/" with a non-zero denominator) is read as integers;
+    any other goes through `fraction_from_str`, which accepts or rejects it
+    and words the error."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is str and c.isascii():
+        p, slash, q = c.partition("/")
+        if p.isdigit() and (not slash or q.isdigit()):
+            try:
+                num, den = int(p), (int(q) if slash else 1)
+            except ValueError:  # a digit string past the int string-conversion limit
+                den = 0
+            if den:
+                return num, den
+    x = fraction_from_str(c)
+    return x.numerator, x.denominator
+
+
+def point_from_coords(coords: list, index: int | None = None) -> SimplexPoint:
+    """The simplex point with the given coordinates, as
+    `SimplexPoint([fraction_from_str(c) for c in coords])` gives it, with
+    the same errors, built over the lcm of the coordinates' denominators.
+    As point `index` of a targets file it must have index + 1 coordinates,
+    and a sign or sum error names the point.
+    """
+    pairs = [_pair(c) for c in coords]
+    if index is not None and len(pairs) != index + 1:
+        raise FormatError(f"point {index} must have {index + 1} coordinates")
+    den = lcm(*(d for _, d in pairs))
+    try:
+        return SimplexPoint._from_ints([n * (den // d) for n, d in pairs], den)
+    except ValueError as exc:
+        if index is None:
+            raise
+        raise FormatError(f"point {index}: {exc}") from exc
 
 
 def _require_keys(obj: dict, required: set[str], what: str) -> None:
@@ -155,12 +198,6 @@ def _targets_from_json(obj: Any) -> list[SimplexPoint]:
     for n, p in enumerate(pts):
         if not isinstance(p, list):
             raise FormatError(f"point {n} must be a list")
-        coords = [fraction_from_str(c) for c in p]
-        if len(coords) != n + 1:
-            raise FormatError(f"point {n} must have {n + 1} coordinates")
-        try:
-            out.append(SimplexPoint(coords))
-        except ValueError as exc:
-            raise FormatError(f"point {n}: {exc}") from exc
+        out.append(point_from_coords(p, n))
     return out
 

@@ -154,7 +154,8 @@ def limit_vertex_estimate(
     the v-th vertex of every deep enough level; the estimate at `depth` j is
     the image of that vertex through the top map f_j and the bottom
     composites down to `level`.  The error bound sums the remaining defects
-    within the prefix plus the tail rule, all in exact l1 arithmetic.
+    within the prefix plus the tail rule, all in exact l1 arithmetic, so
+    only the gaps from `depth` on are computed.
     """
     i, j = level, depth
     if data.metric != "l1":
@@ -169,7 +170,12 @@ def limit_vertex_estimate(
     start = cross.column_point(vertex)
     point = start if i == j else compose_range(data.bottom, i, j).apply(start)
 
-    series = gap_series(data)
+    top, bottom = data.top.maps, data.bottom.maps
+    n = min(len(top), len(bottom))
+    # the gaps below depth are not summed, but their maps must still pair up
+    if any((f.rows, f.cols) != (g.rows, g.cols) for f, g in zip(top[:j], bottom)):
+        raise BratteliError("shape mismatch")
     certified = data.tail is not None
-    bound = sum(series.gaps[j:]) + (data.tail.bound_from(len(series.gaps)) if certified else Fraction(0))
+    gaps = sum(map_distance(top[k], bottom[k]) for k in range(j, n))
+    bound = gaps + (data.tail.bound_from(n) if certified else Fraction(0))
     return LimitEstimate(point, bound, certified)

@@ -51,8 +51,9 @@ class SimplexPoint:
     @classmethod
     def _from_ints(cls, nums: Iterable[int], den: int) -> "SimplexPoint":
         """Trusted constructor from integer numerators over `den`, for
-        points the package builds itself.  Checks sign and sum as the public
-        constructor does, with the same error texts."""
+        points the package builds itself or reads from canonical file
+        coordinates (`formats.point_from_coords`).  Checks sign and sum as
+        the public constructor does, with the same error texts."""
         out = object.__new__(cls)
         out._store(tuple(nums), den)
         return out

@@ -185,6 +185,30 @@ def random_stochastic_map(rng: random.Random, rows: int, cols: int) -> Stochasti
     return StochasticAffineMap([random_point(rng, rows) for _ in range(cols)])
 
 
+def reference_limit_vertex_estimate(data, level: int, vertex: int, depth: int):
+    """Oracle: `intertwine.limit_vertex_estimate` as it was before it
+    computed only the gaps it sums: the whole gap series, then the sum of
+    the gaps from `depth` on.  Returns (point, error bound, certified)."""
+    from bratteli import compose_range, gap_series
+
+    i, j = level, depth
+    if data.metric != "l1":
+        raise BratteliError("estimates are certified in the l1 metric only")
+    if not 0 <= i <= j < len(data.bottom.maps):
+        raise BratteliError("need 0 <= level <= depth < number of maps")
+    if len(data.top.maps) <= j:
+        raise BratteliError(f"top sequence too short for depth {j}")
+    cross = data.top.maps[j]
+    if not 0 <= vertex < cross.cols:
+        raise BratteliError(f"vertex {vertex} outside the depth-{j + 1} simplex")
+    start = cross.column_point(vertex)
+    point = start if i == j else compose_range(data.bottom, i, j).apply(start)
+    series = gap_series(data)
+    certified = data.tail is not None
+    bound = sum(series.gaps[j:]) + (data.tail.bound_from(len(series.gaps)) if certified else Fraction(0))
+    return point, bound, certified
+
+
 def column_coords(m) -> tuple[tuple[Fraction, ...], ...]:
     """The coordinates of each column point of a map or a `ReferenceMap`."""
     return tuple(m.column_point(j).coords for j in range(m.cols))

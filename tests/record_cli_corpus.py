@@ -53,6 +53,7 @@ UNKNOWN_AND_MISSING = '{"format":"general","u1":[1],"bogus":0}\n'
 MISSING_POINTS = '{"format":"targets"}\n'
 ZERO_DENOMINATOR = '{"format":"targets","points":[["1"],["1/0","1"]]}\n'
 OFF_THE_LINES = '{"format":"general","unital":true,"u1":[1],"matrices":[[[1],[1],[1]]]}\n'
+LOOSE_TARGETS = '{"format":"targets","points":[[1],["0.5"," 1/2"],["2/4","1/4","0.25"]]}\n'
 
 
 def case(argv, files=None, stdin=None, env=None, writes=()):
@@ -239,6 +240,23 @@ def reach_cases() -> list[dict]:
     return errors + answers + shown + [{**c, "argv": c["argv"] + ["--json"]} for c in answers]
 
 
+def boundary_cases() -> list[dict]:
+    """Appended after `reach_cases`, so every earlier case keeps its index: a
+    stationary rule with both a head and a geometric tail, and points read
+    from coordinates that are not canonical (a decimal, a leading space, an
+    unreduced fraction), which take the `fraction_from_str` path."""
+    loose = {"loose.json": LOOSE_TARGETS}
+    return [
+        case(["classify", "--stationary", "list:1,1;geometric:1/2"]),
+        case(["classify", "--stationary", "list:1,1;geometric:1/2", "--json"]),
+        case(["synthesize", "--targets", "loose.json", "--levels", "2", "--exact", "--json"], loose),
+        case(["synthesize", "--targets", "loose.json", "--levels", "2", "--certificate", "out.json"], loose,
+             writes=["out.json"]),
+        case(["traces", "push", "ex43.json", "--point", "0.5,2/8,1/4", "--from-level", "2", "--to-level", "1",
+              "--json"], {"ex43.json": fixtures("ex43")}),
+    ]
+
+
 def replay(c: dict, files: dict, workdir: Path) -> dict:
     """Run one case in `workdir`, given the file table; return its outcome
     fields."""
@@ -272,7 +290,7 @@ def replay(c: dict, files: dict, workdir: Path) -> dict:
 
 def main() -> None:
     cases = [c for name in FIXTURE_NAMES for c in fixture_cases(name)]
-    cases += verb_cases() + bench_cases() + reach_cases()
+    cases += verb_cases() + bench_cases() + reach_cases() + boundary_cases()
     files = {}
     for c in cases:
         for name, text in c["files"].items():

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bratteli import BratteliPrefix, FormatError, SimplexPoint, TriangularSpec
-from bratteli.cli import run
+from bratteli.cli import _jsonable, run
 from bratteli.formats import (
     emit_diagram,
     fraction_from_str,
     fraction_to_str,
     parse_diagram,
     parse_targets,
+    point_from_coords,
 )
 from bratteli.fixtures import FIXTURE_NAMES, fixtures
 
@@ -99,6 +100,122 @@ class TestTargetsFiles:
     def test_integer_coordinates_accepted(self):
         points = parse_targets('{"format":"targets","points":[[1],[0,"1"]]}')
         assert points == [SimplexPoint([F(1)]), SimplexPoint([F(0), F(1)])]
+
+
+# --- the point reader and writer against the Fraction path -----------------
+
+
+def reference_point(coords, index=None):
+    """Oracle: the reader before integer pairs, one `Fraction` per
+    coordinate, then the public constructor (as `_targets_from_json` read
+    point `index`, or as `--point` read a point when index is None)."""
+    values = [fraction_from_str(c) for c in coords]
+    if index is not None and len(values) != index + 1:
+        raise FormatError(f"point {index} must have {index + 1} coordinates")
+    try:
+        return SimplexPoint(values)
+    except ValueError as exc:
+        if index is None:
+            raise
+        raise FormatError(f"point {index}: {exc}") from exc
+
+
+def read_outcome(read, coords, index):
+    try:
+        p = read(coords, index)
+    except ValueError as exc:  # FormatError included
+        return type(exc), str(exc)
+    return type(p), p.nums, p.den
+
+
+ODD_COORDS = [
+    "2/4", "00", "007/014", "1/0", "0/0", "+1", "-1", "-1/2", " 1/2", "1/2 ", "0.5", "1e-3", "1_0", "1/1_0",
+    "²", "١/٢", "٣", "", "/", "1/", "/2", "1//2", "1/2/3", "0x1", "½", True, False, None, 0.5, [1],
+    -1, 0, 1, 2,
+]
+BIG = "1" * 4301  # past the default int string-conversion limit of 4300 digits
+
+
+def _canonical_text(draw, x: F) -> str | int:
+    """x written canonically: an int, ASCII digits, or an unreduced "p/q"
+    with optional leading zeros."""
+    k = draw(st.integers(1, 6))
+    zeros = "0" * draw(st.integers(0, 2))
+    if x.denominator == 1 and draw(st.booleans()):
+        return x.numerator if draw(st.booleans()) else zeros + str(x.numerator)
+    return f"{zeros}{x.numerator * k}/{x.denominator * k}"
+
+
+@st.composite
+def coordinate_lists(draw):
+    """Coordinates of a point of the simplex, some rewritten in a
+    non-canonical form, or arbitrary coordinates (mostly wrong sums)."""
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.fractions(min_value=0, max_value=9, max_denominator=12), min_size=1, max_size=5))
+        total = sum(weights)
+        xs = [w / total for w in weights] if total else weights
+        out = []
+        for x in xs:
+            form = draw(st.sampled_from(["canonical", "canonical", "spaced", "signed", "decimal", "odd"]))
+            if form == "canonical":
+                out.append(_canonical_text(draw, x))
+            elif form == "spaced":
+                out.append(f" {x.numerator}/{x.denominator} ")
+            elif form == "signed":
+                out.append(f"+{x.numerator}/{x.denominator}")
+            elif form == "decimal" and 10**6 % x.denominator == 0:
+                out.append(str(x.numerator * (10**6 // x.denominator) / 10**6))
+            else:
+                out.append(draw(st.sampled_from(ODD_COORDS)))
+        return out
+    atoms = st.sampled_from(ODD_COORDS) | st.integers(-3, 12) | st.text("0123456789/ .+-_e", max_size=6)
+    return draw(st.lists(atoms, max_size=5))
+
+
+class TestPointReader:
+    """`point_from_coords` gives the point or the error of the Fraction path."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(coordinate_lists(), st.none() | st.integers(0, 5))
+    def test_matches_fraction_path(self, coords, index):
+        assert read_outcome(point_from_coords, coords, index) == read_outcome(reference_point, coords, index)
+
+    @pytest.mark.parametrize("coord", ODD_COORDS)
+    @pytest.mark.parametrize("index", [None, 1])
+    def test_listed_forms(self, coord, index):
+        for coords in ([coord, "1/2"], ["1/2", coord], [coord]):
+            assert read_outcome(point_from_coords, coords, index) == read_outcome(reference_point, coords, index)
+
+    @pytest.mark.parametrize("coord", [BIG, "0" * 4301, "1/" + BIG, BIG + "/1"])
+    def test_past_the_digit_limit(self, coord):
+        for coords in ([coord, "0"], ["0", coord]):
+            outcome = read_outcome(point_from_coords, coords, 1)
+            assert outcome == read_outcome(reference_point, coords, 1)
+            assert outcome[0] is FormatError
+
+    def test_long_canonical_coordinates(self):
+        q = 10**4000
+        coords = [f"1/{q}", f"{q - 1}/{q}"]
+        assert point_from_coords(coords) == SimplexPoint([F(1, q), F(q - 1, q)])
+
+    def test_unreduced_and_integer_coordinates(self):
+        p = point_from_coords(["2/4", 0, "0002/8", "1/4"])
+        assert (p.nums, p.den) == ((2, 0, 1, 1), 4)
+
+
+class TestPointWriter:
+    """`_jsonable` writes a point from its integers, as `fraction_to_str` of
+    each `Fraction` coordinate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=10**9, max_denominator=10**6), min_size=1, max_size=8).filter(any))
+    def test_matches_fraction_path(self, weights):
+        p = SimplexPoint.normalized(weights)
+        assert _jsonable(p) == [fraction_to_str(c) for c in p.coords]
+
+    def test_vertices_and_zeros(self):
+        assert _jsonable(SimplexPoint.vertex(3, 1)) == ["0", "1", "0"]
+        assert _jsonable(SimplexPoint([F(1, 2), 0, F(1, 2)])) == ["1/2", "0", "1/2"]
 
 
 # --- fuzz: malformed files fail with FormatError, and with one CLI line ----

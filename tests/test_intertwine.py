@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bratteli import (
     BratteliError,
@@ -26,7 +27,9 @@ from bratteli import (
     zeta,
 )
 
-from conftest import random_point, random_stochastic_map
+from bratteli.intertwine import LimitEstimate
+
+from conftest import all_ones_spec, random_point, random_stochastic_map, reference_limit_vertex_estimate
 
 
 def vertex_fixing_tower(points) -> MapSequence:
@@ -225,6 +228,67 @@ class TestLimitVertexEstimate:
         est = limit_vertex_estimate(data, 0, 2, 1)
         by_hand = bottoms[0].apply(tops[1].apply(SimplexPoint.vertex(3, 2)))
         assert est.point == by_hand
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 6), st.sampled_from([None, "zero", "geometric"]),
+           st.sampled_from(["l1"] * 5 + ["l2"]))
+    def test_matches_whole_series_oracle(self, seed, n_top, n_bottom, tail, metric):
+        """Same point, bound and certification, or the same error, as the
+        estimate that summed a slice of the whole gap series.  The towers
+        sometimes differ in width, so some maps do not pair up, and one
+        call in five asks for a level, vertex and depth in [-1, 6]."""
+        rng = random.Random(seed)
+        widths = [rng.randrange(1, 4) for _ in range(max(n_top, n_bottom) + 1)]
+        other = [w if rng.random() < 0.8 else rng.randrange(1, 4) for w in widths]
+        top = MapSequence(random_stochastic_map(rng, widths[k], widths[k + 1]) for k in range(n_top))
+        bottom = MapSequence(random_stochastic_map(rng, other[k], other[k + 1]) for k in range(n_bottom))
+        if rng.random() < 0.2:
+            level, vertex, depth = (rng.randint(-1, 6) for _ in range(3))
+        else:
+            depth = rng.randrange(min(n_top, n_bottom))
+            level, vertex = rng.randint(0, depth), rng.randrange(widths[depth + 1])
+        bound = {None: None, "zero": TailBound.zero(), "geometric": TailBound.geometric(F(1, 3))}[tail]
+        data = IntertwiningData(top, bottom, bound, metric)
+
+        def outcome(estimate):
+            try:
+                return estimate(data, level, vertex, depth)
+            except ValueError as exc:  # BratteliError included
+                return type(exc), str(exc)
+
+        est = outcome(limit_vertex_estimate)
+        if isinstance(est, LimitEstimate):
+            est = est.point, est.error_bound, est.certified
+        assert est == outcome(reference_limit_vertex_estimate)
+
+    @pytest.mark.parametrize("depth", [0, 1, 7, 15])
+    def test_computes_only_the_gaps_it_sums(self, monkeypatch, depth):
+        """At depth d on N maps: N - d distances, and the same composes as
+        the whole-series oracle (d - 1 from level 0)."""
+        from bratteli import intertwine
+
+        maps = MapSequence(level_maps(embed_triangular(all_ones_spec(16), 16)))
+        data = IntertwiningData(maps, maps, TailBound.zero())
+        calls = {"map_distance": 0, "compose": 0}
+        real_distance, real_compose = intertwine.map_distance, StochasticAffineMap.compose
+
+        def distance(*args, **kwargs):
+            calls["map_distance"] += 1
+            return real_distance(*args, **kwargs)
+
+        def compose(*args, **kwargs):
+            calls["compose"] += 1
+            return real_compose(*args, **kwargs)
+
+        monkeypatch.setattr(intertwine, "map_distance", distance)
+        monkeypatch.setattr(StochasticAffineMap, "compose", compose)
+        reference_limit_vertex_estimate(data, 0, 1, depth)
+        oracle = dict(calls)
+        calls.update(map_distance=0, compose=0)
+        limit_vertex_estimate(data, 0, 1, depth)
+        n = len(maps.maps)
+        assert (n, oracle) == (16, {"map_distance": n, "compose": max(depth - 1, 0)})
+        assert calls == {"map_distance": n - depth, "compose": oracle["compose"]}
 
 
 class TestNonexpansiveness:

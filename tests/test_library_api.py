@@ -32,7 +32,9 @@ LIBRARY_API = [
     "diagram.MultiplicityMatrix.is_identity",
     "ideals.has_findim_quotient_line",
     "simplex.SimplexPoint.__getitem__",
+    "simplex.SimplexPoint.__init__",
     "simplex.SimplexPoint.__iter__",
+    "simplex.SimplexPoint.coords",
     "synthesis.TargetSequence.check_coherence",
     "synthesis.TargetSequence.incoherent_levels",
 ]

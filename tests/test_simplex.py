@@ -261,7 +261,9 @@ class TestPointAgainstReference:
         for a, ra in ((p, rp), (q, rq)):
             assert a.vertex_index() == ra.vertex_index()
             assert a.common_denominator_strings() == ra.common_denominator_strings()
-            assert (a.dim, tuple(a), [a[i] for i in range(a.dim)]) == (ra.dim, tuple(ra), list(ra.coords))
+            assert (a.dim, a.coords, tuple(a), [a[i] for i in range(a.dim)]) == (
+                ra.dim, ra.coords, tuple(ra), list(ra.coords)
+            )
         for a, b, ra, rb in ((p, q, rp, rq), (q, p, rq, rp), (p, p, rp, rp)):
             assert a.l1_distance(b) == ra.l1_distance(rb)
             assert a.l2sq_distance(b) == ra.l2sq_distance(rb)

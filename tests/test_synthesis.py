@@ -436,6 +436,37 @@ class TestClassify:
     def test_divergent_geometric(self):
         assert classify_stationary(StationarySpec((), TailRule.geometric(1))).verdict == "bauer"
 
+    def test_head_with_geometric_tail(self):
+        # weights 1, 1, 1/2, 1/4, ...: total 2 + 1, and e_inf is weight / total
+        result = classify_stationary(StationarySpec([1, 1], TailRule.geometric(F(1, 2))), depth=6)
+        assert result.verdict == "non-bauer"
+        assert result.total == 3
+        assert result.e_inf == (F(1, 3), F(1, 3), F(1, 6), F(1, 12), F(1, 24), F(1, 48), F(1, 96))
+
+    @pytest.mark.parametrize(
+        "head, ratio",
+        [((1, 1), F(1, 2)), ((), F(1, 2)), ((3,), F(2, 3)), ((0, 2, 5), F(1, 7)), ((1, 0, 1), F(9, 10)), ((2, 1), None)],
+    )
+    def test_coefficients_are_weights_over_their_sum(self, head, ratio):
+        """From the definition: coefficient j is t_j / sum(t), so the shown
+        coefficients plus the rest of the series over the total are 1."""
+        spec = StationarySpec(head, TailRule.zero() if ratio is None else TailRule.geometric(ratio))
+        depth = 9
+        result = classify_stationary(spec, depth=depth)
+        weights = [spec.value(j) for j in range(depth + 1)]
+        rest = 0 if ratio is None else spec.value(depth) * ratio / (1 - ratio)
+        assert result.total == sum(weights) + rest
+        assert result.e_inf == tuple(w / result.total for w in weights)
+        assert sum(result.e_inf) + rest / result.total == 1
+
+    def test_head_with_geometric_tail_through_the_cli(self, capsys):
+        assert run(["classify", "--stationary", "list:1,1;geometric:1/2", "--depth", "3", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            '{"command": "classify", "e_inf": ["1/3", "1/3", "1/6", "1/12"], "partial_sums": null, '
+            '"total": "3", "verdict": "non-bauer"}\n'
+        )
+
 
 class TestGConsistency:
     """`incoherent_levels` against the cylinder-map check it replaced."""
